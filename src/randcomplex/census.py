@@ -24,8 +24,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .complexes import Graph, PointCloud, SimplicialComplex, components
-from .generators import RngStream, cliques_of_order, geometric_graph
-from .miniball import RADIUS_RTOL, min_enclosing_radius, three_point_radius
+from .generators import RngStream, balls_intersect, cliques_of_order, geometric_graph
+from .miniball import RADIUS_RTOL, three_point_radius
 
 # ---------------------------------------------------------------------------
 # Canonical forms for small graphs
@@ -106,10 +106,6 @@ def canonical_form(vertex_count: int, edges) -> CanonicalGraph:
     return CanonicalGraph(vertex_count, best if best is not None else ())
 
 
-def canonical_from_graph(g: Graph) -> CanonicalGraph:
-    return canonical_form(g.vertex_count, g.edges())
-
-
 def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
@@ -139,26 +135,6 @@ def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGra
 # ---------------------------------------------------------------------------
 
 
-def _intersects(points: np.ndarray, r: float) -> bool:
-    return min_enclosing_radius(points) <= r * (1.0 + RADIUS_RTOL)
-
-
-def forms_empty_simplex(pts: PointCloud, vertices, r: float) -> bool:
-    """Do these k points form an empty (k-1)-simplex at radius r?"""
-    S = list(vertices)
-    k = len(S)
-    if k < 2:
-        return False
-    P = pts.points[S]
-    if _intersects(P, r):
-        return False
-    for omit in range(k):
-        sub = np.delete(P, omit, axis=0)
-        if k - 1 >= 2 and not _intersects(sub, r):
-            return False
-    return True
-
-
 def empty_simplex_count(
     pts: PointCloud, r: float, k: int, g: Graph | None = None
 ) -> int:
@@ -186,11 +162,11 @@ def empty_simplex_count(
 def _is_empty_clique(P: np.ndarray, S, r: float, k: int) -> bool:
     """Emptiness test for a k-set already known to be a clique of the 2r-graph."""
     pts = P[list(S)]
-    if _intersects(pts, r):
+    if balls_intersect(pts, r):
         return False
     if k - 1 >= 3:
         for omit in range(k):
-            if not _intersects(np.delete(pts, omit, axis=0), r):
+            if not balls_intersect(np.delete(pts, omit, axis=0), r):
                 return False
     return True
 
@@ -402,38 +378,6 @@ def _is_connected_pattern(p: CanonicalGraph) -> bool:
     return len(seen) == p.vertex_count
 
 
-def _count_edge_preserving_bijections(pat_adj: list[set[int]], order: list[int], tgt_adj: dict[int, set[int]], subset) -> int:
-    """Bijections pattern -> subset mapping pattern edges onto target edges."""
-    v = len(pat_adj)
-    count = 0
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int):
-        nonlocal count
-        if i == v:
-            count += 1
-            return
-        pv = order[i]
-        earlier = [u for u in pat_adj[pv] if u in assigned]
-        if earlier:
-            cands = set(tgt_adj[assigned[earlier[0]]])
-            for u in earlier[1:]:
-                cands &= tgt_adj[assigned[u]]
-            cands -= used
-        else:
-            cands = set(subset) - used
-        for t in cands:
-            assigned[pv] = t
-            used.add(t)
-            backtrack(i + 1)
-            used.discard(t)
-            del assigned[pv]
-
-    backtrack(0)
-    return count
-
-
 def _bfs_order(pat_adj: list[set[int]]) -> list[int]:
     v = len(pat_adj)
     seen: list[int] = []
@@ -454,9 +398,10 @@ def _bfs_order(pat_adj: list[set[int]]) -> list[int]:
 
 
 def automorphism_count(p: CanonicalGraph) -> int:
-    adj = p.adjacency_sets()
-    tgt = {v: adj[v] for v in range(p.vertex_count)}
-    return _count_edge_preserving_bijections(adj, _bfs_order(adj), tgt, range(p.vertex_count))
+    """Automorphisms: the injective edge-preserving maps of the pattern to itself."""
+    earlier, _ = _prepare_pattern(p)
+    masks = [sum(1 << w for w in nbrs) for nbrs in p.adjacency_sets()]
+    return _count_maps_bitmask(earlier, masks)
 
 
 def subgraph_counts(
@@ -756,15 +701,9 @@ def _hits_general(Y: np.ndarray, k: int, rho: float) -> int:
         diffs = pts[:, None, :] - pts[None, :, :]
         if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0):
             continue
-        if min_enclosing_radius(pts) <= rho * (1.0 + RADIUS_RTOL):
+        if balls_intersect(pts, rho):
             continue
-        ok = True
-        for omit in range(k):
-            sub = np.delete(pts, omit, axis=0)
-            if min_enclosing_radius(sub) > 1.0 + RADIUS_RTOL:
-                ok = False
-                break
-        if ok:
+        if all(balls_intersect(np.delete(pts, omit, axis=0), 1.0) for omit in range(k)):
             hits += 1
     return hits
 
@@ -779,7 +718,9 @@ class CensusReport:
     """Every counter from the sandwich bounds for one complex instance.
 
     Maps are empty when a counter family was not requested for the model
-    at hand. Keys follow the stable flat naming used in serialized output.
+    at hand; `trees` holds the non-induced path, star and spider counts
+    (t1, t2, t3) of the Rips k=1 tree bound. Keys follow the stable flat
+    naming used in serialized output.
     """
 
     f: tuple[int, ...]
@@ -792,6 +733,7 @@ class CensusReport:
     o_induced: dict[int, int] = field(default_factory=dict)
     o_component: dict[int, int] = field(default_factory=dict)
     f_ge: dict[tuple[int, int], int] = field(default_factory=dict)
+    trees: tuple[int, ...] = ()
 
     def validate(self) -> None:
         for k, s in self.s_isolated.items():
@@ -832,4 +774,6 @@ class CensusReport:
             out[f"o_comp_{k}"] = self.o_component[k]
         for k, i in sorted(self.f_ge):
             out[f"f_{k}_ge_{i}"] = self.f_ge[(k, i)]
+        for i, v in enumerate(self.trees, 1):
+            out[f"t{i}"] = v
         return out

@@ -43,7 +43,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _merge_config(args: argparse.Namespace, keys) -> dict:
-    """Optional JSON config file; explicit flags override file values."""
+    """Optional JSON config file; explicit flags override file values.
+
+    The model name "er" is an alias of "er_clique", in files and flags alike.
+    """
     merged = {}
     if getattr(args, "config", None):
         with open(args.config) as handle:
@@ -58,6 +61,8 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+    if merged.get("model") == "er":
+        merged["model"] = "er_clique"
     return merged
 
 
@@ -99,8 +104,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         return _fail(2, "config", "--seed is required (no silent nondeterminism)")
     try:
         cfg = _merge_config(args, _REGIME_KEYS)
-        if cfg.get("model") == "er":
-            cfg["model"] = "er_clique"
         spec = _regime_from(cfg)
         result = run_experiment(spec, args.trials, args.seed, workers=args.workers)
     except (ValueError, KeyError, OSError) as exc:
@@ -121,8 +124,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return _fail(2, "config", "--seed is required")
     try:
         cfg = _merge_config(args, tuple(k for k in _REGIME_KEYS if k not in ("p", "r")))
-        if cfg.get("model") == "er":
-            cfg["model"] = "er_clique"
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
         if not grid:
             raise ValueError("empty parameter grid")
@@ -165,8 +166,6 @@ def cmd_census(args: argparse.Namespace) -> int:
         return _fail(2, "config", "--seed is required")
     try:
         cfg = _merge_config(args, _REGIME_KEYS)
-        if cfg.get("model") == "er":
-            cfg["model"] = "er_clique"
         spec = _regime_from(cfg)
         report = instance_census(spec, RngStream(args.seed, args.stream))
     except (ValueError, KeyError, OSError) as exc:

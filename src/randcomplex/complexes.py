@@ -252,68 +252,3 @@ def skeleton_graph(c: SimplicialComplex) -> Graph:
     edges = c.faces[1] if c.max_dim >= 1 else ()
     return Graph.from_edges(c.vertex_count, edges)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def complex_to_text(c: SimplicialComplex) -> str:
-    """Line-oriented text format: header then one face per line, grouped by dimension."""
-    top = 0
-    for i in range(c.max_dim, -1, -1):
-        if c.faces[i]:
-            top = i
-            break
-    lines = [f"dim={top} vertices={c.vertex_count} max_dim={c.max_dim}"]
-    for dim in range(c.max_dim + 1):
-        for face in c.faces[dim]:
-            lines.append(" ".join(str(v) for v in face))
-    return "\n".join(lines) + "\n"
-
-
-def complex_from_text(text: str) -> SimplicialComplex:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty complex text")
-    header = dict(part.split("=") for part in lines[0].split())
-    n = int(header["vertices"])
-    max_dim = int(header["max_dim"])
-    groups: list[list[Face]] = [[] for _ in range(max_dim + 1)]
-    for ln in lines[1:]:
-        face = tuple(int(tok) for tok in ln.split())
-        groups[len(face) - 1].append(face)
-    return SimplicialComplex.from_face_lists(n, groups, max_dim)
-
-
-def graph_to_text(g: Graph) -> str:
-    """Edge-list format: `n=<count>` header then `u v` per line."""
-    lines = [f"n={g.vertex_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("missing n= header")
-    n = int(lines[0][2:])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph.from_edges(n, edges)
-
-
-def point_cloud_to_csv(pc: PointCloud) -> str:
-    """One point per row, d columns, 17-significant-digit decimals."""
-    rows = [",".join(f"{x:.17g}" for x in p) for p in pc.points]
-    return "\n".join(rows) + ("\n" if rows else "")
-
-
-def point_cloud_from_csv(text: str, dimension: int, density_id: str = "") -> PointCloud:
-    rows = [ln for ln in text.splitlines() if ln.strip()]
-    pts = np.array([[float(x) for x in ln.split(",")] for ln in rows], dtype=np.float64)
-    if pts.size == 0:
-        pts = pts.reshape(0, dimension)
-    return PointCloud(dimension, pts, density_id)

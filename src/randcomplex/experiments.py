@@ -137,7 +137,7 @@ class RegimeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial statistics
+# Per-trial pipeline
 # ---------------------------------------------------------------------------
 
 
@@ -148,88 +148,91 @@ def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
             raise AssertionError(f"Morse violation at degree {k}: {lower} <= {b} <= {f[k]}")
 
 
-def _er_trial(spec: RegimeSpec, rng: RngStream) -> dict[str, int]:
-    g = gen_er_graph(spec.n, spec.resolve_p(), rng)
-    c = clique_complex(g, spec.k + 1)
-    f = f_vector(c)
-    bv = betti_numbers(c, spec.k, spec.field_prime)
-    _assert_morse(f, bv.betti)
-    row: dict[str, int] = {f"f_{i}": v for i, v in enumerate(f)}
-    for i, b in enumerate(bv.betti):
-        row[f"betti_{i}"] = b
-    return row
+def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
+    """Build one instance of the regime, take its census, and check the bounds.
 
-
-def _cech_trial(spec: RegimeSpec, rng: RngStream) -> dict[str, int]:
-    pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
-    r = spec.resolve_r()
-    g = geometric_graph(pts, r)
+    This is the whole trial pipeline: trial t of an experiment is
+    `instance_census(spec, RngStream(master_seed, t))`. Raises AssertionError
+    when the Morse inequalities, the Cech or Rips sandwich, the tree bound
+    (Rips k=1) or the report's own consistency checks fail. The Euler characteristic is reported only when the built
+    complex is provably full-dimensional (its top face layer is empty, so no
+    face exists above the cap).
+    """
     k = spec.k
-    c = cech_complex(pts, r, k - 1, graph=g)
+    top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed
+    if spec.model == "er_clique":
+        g = gen_er_graph(spec.n, spec.resolve_p(), rng)
+    else:
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
+        r = spec.resolve_r()
+        g = geometric_graph(pts, r)
+    if spec.model == "cech":
+        c = cech_complex(pts, r, k - 1, graph=g)
+    else:
+        c = clique_complex(g, k + 1)
     f = f_vector(c)
-    bv = betti_numbers(c, k - 2, spec.field_prime)
-    _assert_morse(f, bv.betti)
-    s = empty_simplex_count(pts, r, k, g)
-    s_iso = isolated_empty_simplex_count(pts, r, k, g)
-    y = y_count(g, k)
-    z = z_count(g, k)
-    if not s_iso <= s:
-        raise AssertionError(f"S_iso={s_iso} > S={s}")
-    beta = bv.betti[k - 2]
-    if not s_iso <= beta <= s + y + z:
-        raise AssertionError(
-            f"Cech sandwich violation: {s_iso} <= beta_{k-2}={beta} <= {s}+{y}+{z}"
-        )
-    row: dict[str, int] = {f"f_{i}": v for i, v in enumerate(f)}
-    for i, b in enumerate(bv.betti):
-        row[f"betti_{i}"] = b
-    row[f"S_{k}"] = s
-    row[f"S_iso_{k}"] = s_iso
-    row[f"Y_{k}"] = y
-    row[f"Z_{k}"] = z
-    return row
-
-
-def _rips_trial(spec: RegimeSpec, rng: RngStream) -> dict[str, int]:
-    pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
-    r = spec.resolve_r()
-    g = geometric_graph(pts, r)
-    k = spec.k
-    c = clique_complex(g, k + 1)
-    f = f_vector(c)
-    bv = betti_numbers(c, k, spec.field_prime)
-    _assert_morse(f, bv.betti)
-    o_ind, o_comp = cross_polytope_counts(g, k)
-    fge = faces_on_large_components(c, g, k, 2 * k + 3)
-    beta = bv.betti[k]
-    if not o_comp <= beta <= o_comp + fge:
-        raise AssertionError(
-            f"Rips sandwich violation: {o_comp} <= beta_{k}={beta} <= {o_comp}+{fge}"
-        )
-    row: dict[str, int] = {f"f_{i}": v for i, v in enumerate(f)}
-    for i, b in enumerate(bv.betti):
-        row[f"betti_{i}"] = b
-    row[f"o_{k}"] = o_ind
-    row[f"o_comp_{k}"] = o_comp
-    row[f"f_{k}_ge_{2 * k + 3}"] = fge
-    if k == 1:
-        t1, t2, t3 = subgraph_counts(g, tree_patterns_order5(), induced=False)
-        if fge > 4 * (t1 + t2 + t3):
+    betti = betti_numbers(c, top, spec.field_prime).betti
+    _assert_morse(f, betti)
+    report = CensusReport(f=f, betti=betti)
+    if spec.model == "cech":
+        s = empty_simplex_count(pts, r, k, g)
+        s_iso = isolated_empty_simplex_count(pts, r, k, g)
+        y = y_count(g, k)
+        z = z_count(g, k)
+        if not s_iso <= betti[top] <= s + y + z:
             raise AssertionError(
-                f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"
+                f"Cech sandwich violation: {s_iso} <= beta_{top}={betti[top]} <= {s}+{y}+{z}"
             )
-        row["t1"] = t1
-        row["t2"] = t2
-        row["t3"] = t3
-    return row
-
-
-_TRIAL_FNS = {"er_clique": _er_trial, "cech": _cech_trial, "rips": _rips_trial}
+        report.s_empty = {k: s}
+        report.s_isolated = {k: s_iso}
+        report.y_count = {k: y}
+        report.z_count = {k: z}
+    elif spec.model == "rips":
+        o_ind, o_comp = cross_polytope_counts(g, k)
+        fge = faces_on_large_components(c, g, k, 2 * k + 3)
+        if not o_comp <= betti[k] <= o_comp + fge:
+            raise AssertionError(
+                f"Rips sandwich violation: {o_comp} <= beta_{k}={betti[k]} <= {o_comp}+{fge}"
+            )
+        report.o_induced = {k: o_ind}
+        report.o_component = {k: o_comp}
+        report.f_ge = {(k, 1): f[k], (k, 2 * k + 3): fge}
+        if k == 1:
+            t1, t2, t3 = subgraph_counts(g, tree_patterns_order5(), induced=False)
+            if fge > 4 * (t1 + t2 + t3):
+                raise AssertionError(
+                    f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"
+                )
+            report.trees = (t1, t2, t3)
+    if f[-1] == 0:
+        report.euler = sum((-1) ** i * v for i, v in enumerate(f))
+    try:
+        report.validate()  # S_iso <= S, o_comp <= o and the f_ge ordering
+    except ValueError as exc:
+        raise AssertionError(f"census inconsistency: {exc}") from exc
+    return report
 
 
 def _run_trial(args: tuple[RegimeSpec, int, int]) -> dict[str, int]:
+    """Row of trial t: the census minus euler (not always defined) and f_k_ge_1 (= f_k)."""
     spec, master_seed, t = args
-    return _TRIAL_FNS[spec.model](spec, RngStream(master_seed, t))
+    try:
+        report = instance_census(spec, RngStream(master_seed, t))
+    except AssertionError as exc:
+        flags = " ".join(
+            f"--{name} {value}"
+            for name, value in asdict(spec).items()
+            if value is not None and name != "field_prime"
+        )
+        raise AssertionError(
+            f"{exc} (master_seed={master_seed}, trial={t}); reproduce with: "
+            f"randcomplex census {flags} --seed {master_seed} --stream {t}"
+        ) from exc
+    return {
+        name: v
+        for name, v in report.to_json_dict().items()
+        if name != "euler" and not name.endswith("_ge_1")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -486,58 +489,3 @@ def theorem_targets(
         }
     scaling = spec.n ** (2 * spec.k + 2) * r ** (spec.d * (2 * spec.k + 1))
     return {"scaling": scaling}
-
-
-# ---------------------------------------------------------------------------
-# Single-instance census (CLI `census`)
-# ---------------------------------------------------------------------------
-
-
-def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
-    """Full census of one generated instance of the regime.
-
-    The Euler characteristic is reported only when the built complex is
-    provably full-dimensional (its top face layer is empty, so no face
-    exists above the cap).
-    """
-    k = spec.k
-    if spec.model == "er_clique":
-        g = gen_er_graph(spec.n, spec.resolve_p(), rng)
-        c = clique_complex(g, k + 1)
-        bv = betti_numbers(c, k, spec.field_prime)
-        report = CensusReport(f=f_vector(c), betti=bv.betti)
-    elif spec.model == "cech":
-        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
-        r = spec.resolve_r()
-        g = geometric_graph(pts, r)
-        c = cech_complex(pts, r, k - 1, graph=g)
-        bv = betti_numbers(c, k - 2, spec.field_prime)
-        report = CensusReport(
-            f=f_vector(c),
-            betti=bv.betti,
-            s_empty={k: empty_simplex_count(pts, r, k, g)},
-            s_isolated={k: isolated_empty_simplex_count(pts, r, k, g)},
-            y_count={k: y_count(g, k)},
-            z_count={k: z_count(g, k)},
-        )
-    else:
-        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
-        r = spec.resolve_r()
-        g = geometric_graph(pts, r)
-        c = clique_complex(g, k + 1)
-        bv = betti_numbers(c, k, spec.field_prime)
-        o_ind, o_comp = cross_polytope_counts(g, k)
-        report = CensusReport(
-            f=f_vector(c),
-            betti=bv.betti,
-            o_induced={k: o_ind},
-            o_component={k: o_comp},
-            f_ge={
-                (k, 1): len(c.faces[k]),
-                (k, 2 * k + 3): faces_on_large_components(c, g, k, 2 * k + 3),
-            },
-        )
-    if report.f[-1] == 0:
-        report.euler = sum((-1) ** i * v for i, v in enumerate(report.f))
-    report.validate()
-    return report

@@ -7,6 +7,7 @@ bit-identical instances.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +76,16 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
     return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
 
 
-def _clique_faces(g: Graph, max_dim: int) -> list[list[Face]]:
+def _clique_faces(
+    g: Graph, max_dim: int, accept: Callable[[Face], bool] | None = None
+) -> list[list[Face]]:
     """All cliques of g grouped by dimension, by ordered expansion.
 
     An i-face extends only by common neighbors greater than its last vertex,
-    so every clique is produced exactly once, in lexicographic order.
+    so every clique is produced exactly once, in lexicographic order. A face
+    of dimension >= 2 is kept only if `accept` (when given) holds for it;
+    the predicate must be monotone (true on every subface of a face it
+    accepts), so that rejected faces need no further extension.
     """
     faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)]]
     if max_dim == 0:
@@ -96,7 +102,9 @@ def _clique_faces(g: Graph, max_dim: int) -> list[list[Face]]:
             last = face[-1]
             for w in sorted(cand):
                 if w > last:
-                    cur.append(face + (w,))
+                    new = face + (w,)
+                    if accept is None or accept(new):
+                        cur.append(new)
         faces.append(cur)
         if not cur:
             faces.extend([] for _ in range(max_dim - dim))
@@ -224,25 +232,7 @@ def cech_complex(
         raise ValueError("max_dim must be non-negative")
     g = geometric_graph(pts, r) if graph is None else graph
     P = pts.points
-    faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)]]
-    if max_dim >= 1:
-        faces.append(list(g.edges()))
-    nbrs = g.neighbor_sets
-    for dim in range(2, max_dim + 1):
-        prev = faces[dim - 1]
-        cur: list[Face] = []
-        for face in prev:
-            cand = nbrs[face[0]]
-            for v in face[1:]:
-                cand = cand & nbrs[v]
-            last = face[-1]
-            for w in sorted(cand):
-                if w > last and balls_intersect(P[list(face + (w,))], r):
-                    cur.append(face + (w,))
-        faces.append(cur)
-        if not cur:
-            faces.extend([] for _ in range(max_dim - dim))
-            break
+    faces = _clique_faces(g, max_dim, lambda face: balls_intersect(P[list(face)], r))
     return SimplicialComplex(
         g.vertex_count, tuple(tuple(fs) for fs in faces), max_dim
     )

@@ -79,6 +79,10 @@ def test_config_file_with_flag_override(tmp_path):
     payload = json.loads(summary.read_text())
     assert payload["regime"]["n"] == 8  # flag wins
     assert payload["regime"]["p"] == 0.0  # file value survives
+    cfg.write_text(json.dumps({"model": "er", "n": 10, "k": 1, "p": 0.0}))
+    census = tmp_path / "census.json"
+    assert run_cli(["census", "--config", cfg, "--seed", 5, "--out", census]) == 0
+    assert json.loads(census.read_text())["regime"]["model"] == "er_clique"
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -97,6 +101,10 @@ def test_census_command_stdout(capsys):
     census = payload["census"]
     assert "betti_1" in census and "o_comp_1" in census and "f_1_ge_5" in census
     assert payload["regime"]["resolved"]["r"] > 0
+    code = run_cli(["census", "--model", "er", "--k", 1, "--n", 20, "--p", 0.2,
+                    "--seed", 11])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["regime"]["model"] == "er_clique"
 
 
 def test_census_command_to_file(tmp_path):

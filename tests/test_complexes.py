@@ -1,4 +1,4 @@
-"""Core type behavior: components, f-vectors, validation, serialization."""
+"""Core type behavior: components, f-vectors, validation."""
 
 from __future__ import annotations
 
@@ -16,14 +16,6 @@ from randcomplex import (
     f_vector,
     gen_er_graph,
     skeleton_graph,
-)
-from randcomplex.complexes import (
-    complex_from_text,
-    complex_to_text,
-    graph_from_text,
-    graph_to_text,
-    point_cloud_from_csv,
-    point_cloud_to_csv,
 )
 
 from oracles import brute_components
@@ -129,26 +121,3 @@ def test_point_cloud_validation():
 def test_skeleton_graph_round_trip():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
     assert skeleton_graph(clique_complex(g, 2)) == g
-
-
-def test_complex_text_round_trip():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
-    c = clique_complex(g, 3)
-    text = complex_to_text(c)
-    header = text.splitlines()[0]
-    assert header == "dim=2 vertices=4 max_dim=3"
-    assert complex_from_text(text) == c
-
-
-def test_graph_text_round_trip():
-    g = Graph.from_edges(6, [(0, 3), (2, 5), (1, 4)])
-    text = graph_to_text(g)
-    assert text.splitlines()[0] == "n=6"
-    assert graph_from_text(text) == g
-
-
-def test_point_cloud_csv_round_trip_exact():
-    gen = RngStream(7).generator()
-    pc = PointCloud(3, gen.standard_normal((20, 3)), density_id="gaussian")
-    back = point_cloud_from_csv(point_cloud_to_csv(pc), 3, "gaussian")
-    assert (back.points == pc.points).all()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import statistics
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 from randcomplex import (
     RegimeSpec,
     RngStream,
+    cli,
     estimate_mu,
+    experiments,
     instance_census,
     ks_to_normal,
     run_experiment,
@@ -369,3 +372,78 @@ def test_census_report_validation_catches_violations():
     bad_f1 = CensusReport(f=(4, 2), betti=(1,), f_ge={(1, 1): 3})
     with pytest.raises(ValueError):
         bad_f1.validate()
+
+
+# ---------------------------------------------------------------------------
+# One pipeline: experiment rows are projected instance censuses
+# ---------------------------------------------------------------------------
+
+
+PIPELINE_SPECS = {
+    "er": RegimeSpec(model="er_clique", k=1, n=40, p=0.1),
+    "cech": RegimeSpec(model="cech", k=3, n=150, d=2, alpha=2.0),
+    "rips-k1": RegimeSpec(model="rips", k=1, n=100, d=2, alpha=2.0),
+    "rips-k2": RegimeSpec(model="rips", k=2, n=60, d=2, alpha=1.0),
+}
+
+
+def _trial_projection(report) -> dict:
+    return {
+        key: v
+        for key, v in report.to_json_dict().items()
+        if key != "euler" and not re.fullmatch(r"f_\d+_ge_1", key)
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
+def test_trial_row_is_projected_instance_census(name):
+    spec = PIPELINE_SPECS[name]
+    res = run_experiment(spec, 4, 31)
+    for t in range(4):
+        row = _trial_projection(instance_census(spec, RngStream(31, t)))
+        assert tuple(row) == res.columns
+        assert tuple(row.values()) == res.per_trial[t]
+
+
+@pytest.mark.parametrize(
+    "name, counter, fake, message",
+    [
+        ("er", "f_vector", lambda c: (0,) * (c.max_dim + 1), "Morse violation"),
+        ("cech", "y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
+        ("rips-k1", "cross_polytope_counts", lambda g, k: (10**9, 10**9),
+         "Rips sandwich violation"),
+        ("rips-k1", "subgraph_counts", lambda g, patterns, induced: [0, 0, 0],
+         "tree bound violation"),
+        ("rips-k2", "faces_on_large_components", lambda c, g, k, i: 10**9,
+         "census inconsistency"),
+    ],
+    ids=["er-morse", "cech-sandwich", "rips-sandwich", "rips-tree-bound",
+         "rips-consistency"],
+)
+def test_bound_violations_raise(monkeypatch, name, counter, fake, message):
+    spec = PIPELINE_SPECS[name]
+    monkeypatch.setattr(experiments, counter, fake)
+    with pytest.raises(AssertionError, match=message):
+        instance_census(spec, RngStream(31, 0))
+    with pytest.raises(AssertionError, match=message):
+        run_experiment(spec, 2, 31)
+
+
+def test_violation_names_trial_and_reproducing_census(monkeypatch, capsys):
+    spec = PIPELINE_SPECS["cech"]
+    monkeypatch.setattr(experiments, "y_count", lambda g, k: -(10**9))
+    with pytest.raises(AssertionError) as exc:
+        run_experiment(spec, 3, 31)
+    text = str(exc.value)
+    assert "(master_seed=31, trial=0)" in text
+    argv = text.split("reproduce with: ", 1)[1].split()
+    assert argv[:2] == ["randcomplex", "census"]
+    assert argv[-4:] == ["--seed", "31", "--stream", "0"]
+    # the command rebuilds the failing trial, so it fails the same way
+    assert cli.main(argv[1:]) == 3
+    assert "Cech sandwich violation" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert cli.main(argv[1:]) == 0
+    census = json.loads(capsys.readouterr().out)["census"]
+    clean = run_experiment(spec, 1, 31)
+    assert tuple(census[c] for c in clean.columns) == clean.per_trial[0]
