@@ -13,13 +13,19 @@ Conventions recorded here because the counts are only defined up to them:
   bound needs.
 * Cross-polytope skeletons are detected by the exact characterization
   "complement within the vertex set is a perfect matching".
+* The non-induced counts t1-t3 of the three trees on five vertices come
+  from closed forms in degrees, triangles and common-neighbour counts
+  (`tree_counts_order5`, O(sum_v d_v^2)). `subgraph_counts` stays the
+  general census by enumeration and is the oracle for those forms.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
 
@@ -128,6 +134,48 @@ def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGra
     star = canonical_form(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     spider = canonical_form(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     return path, star, spider
+
+
+def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
+    """Non-induced (path, star, spider) counts, in `tree_patterns_order5` order.
+
+    Closed forms over each tree's unique centre m, with d = degree,
+    P_m = sum_{b~m} (d_b - 1), w_x = |N(x) & N(m)|, t_mb = w_b for b ~ m
+    and T_m = sum_{b~m} t_mb (twice the triangles at m):
+
+    * star = sum_m C(d_m, 4);
+    * spider = sum_m [C(d_m - 1, 2) P_m - (d_m - 2) T_m];
+    * path = 1/2 sum_m [P_m^2 - sum_{b~m} (d_b - 1)^2 - sum_{x!=m} w_x (w_x - 1)
+      - 2 sum_{b~m} t_mb (d_b - 1) + T_m].
+
+    One pass over the vertices, O(sum_v d_v^2); docs/decisions.md derives
+    the formulas. `subgraph_counts` computes the same numbers by
+    enumeration and serves as the oracle.
+    """
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+    path2 = star = spider = 0
+    for m, nm in enumerate(adj):
+        dm = deg[m]
+        if dm < 2:  # a centre of any of the three trees has degree >= 2
+            continue
+        w = Counter(chain.from_iterable(adj[b] for b in nm))
+        e = [deg[b] - 1 for b in nm]
+        t = [w[b] for b in nm]
+        p = sum(e)
+        tri2 = sum(t)
+        # sum_{x != m} w_x (w_x - 1), using w_m = d_m and sum_{x != m} w_x = p
+        shared = sum(x * x for x in w.values()) - dm * dm - p
+        path2 += (
+            p * p
+            - sum(x * x for x in e)
+            - shared
+            - 2 * sum(map(operator.mul, t, e))
+            + tri2
+        )
+        star += math.comb(dm, 4)
+        spider += math.comb(dm - 1, 2) * p - (dm - 2) * tri2
+    return path2 // 2, star, spider
 
 
 # ---------------------------------------------------------------------------

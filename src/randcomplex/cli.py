@@ -29,12 +29,19 @@ def _fail(code: int, category: str, message: str) -> int:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write via a temp file plus rename, so failures never leave partial output."""
+    """Write via a temp file plus rename, so failures never leave partial output.
+
+    The file gets the mode `open(path, "w")` would give (0666 less the
+    umask), not the owner-only mode of the temp file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

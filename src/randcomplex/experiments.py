@@ -22,8 +22,7 @@ from .census import (
     estimate_mu,
     faces_on_large_components,
     isolated_empty_simplex_count,
-    subgraph_counts,
-    tree_patterns_order5,
+    tree_counts_order5,
     y_count,
     z_count,
     MuEstimate,
@@ -198,7 +197,7 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
         report.o_component = {k: o_comp}
         report.f_ge = {(k, 1): f[k], (k, 2 * k + 3): fge}
         if k == 1:
-            t1, t2, t3 = subgraph_counts(g, tree_patterns_order5(), induced=False)
+            t1, t2, t3 = tree_counts_order5(g)
             if fge > 4 * (t1 + t2 + t3):
                 raise AssertionError(
                     f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"

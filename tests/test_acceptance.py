@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 One expected failure is recorded: the k=2 extension-type enumeration
 provably yields 18 isomorphism classes, not the pinned value of 17; the
-decisions ledger carries the counting argument.
+docs/decisions.md carries the counting argument.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from randcomplex import (
     run_experiment,
     sample_points,
     subgraph_counts,
+    tree_counts_order5,
     y_count,
     z_count,
 )
@@ -217,13 +218,13 @@ def test_c07_extension_types_k1():
 @pytest.mark.xfail(
     strict=True,
     reason="the 3-step extension algorithm provably yields 18 classes for k=2; "
-    "the pinned value 17 is unattainable (see the decisions ledger)",
+    "the pinned value 17 is unattainable (see docs/decisions.md)",
 )
 def test_c07_extension_types_k2_pinned_value():
     """The pinned k=2 count (17) conflicts with the algorithm's true output."""
     count = len(enumerate_extension_types(2))
     print(f"\nACCEPTANCE 07 EXPECTED-FAIL extension types k=2: algorithm yields "
-          f"{count} classes, pinned value is 17 (see the decisions ledger)")
+          f"{count} classes, pinned value is 17 (see docs/decisions.md)")
     assert count == 17
 
 
@@ -363,8 +364,9 @@ def test_c14_census_matches_brute_force():
                 )
         if n >= 5:
             got = subgraph_counts(g, trees, induced=False)
-            for pat, val in zip(trees, got):
-                assert val == brute_subgraph_count(n, adj, pat.edges, 5, False)
+            brute = [brute_subgraph_count(n, adj, pat.edges, 5, False) for pat in trees]
+            assert got == brute
+            assert list(tree_counts_order5(g)) == brute
             got_ind = subgraph_counts(g, trees, induced=True)
             for pat, val in zip(trees, got_ind):
                 assert val == brute_subgraph_count(n, adj, pat.edges, 5, True)

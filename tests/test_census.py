@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from randcomplex import (
+    DensitySpec,
     Graph,
     PointCloud,
+    RegimeSpec,
     RngStream,
     canonical_form,
     clique_complex,
@@ -25,7 +27,9 @@ from randcomplex import (
     gen_er_graph,
     geometric_graph,
     isolated_empty_simplex_count,
+    sample_points,
     subgraph_counts,
+    tree_counts_order5,
     y_count,
     z_count,
 )
@@ -183,7 +187,7 @@ def test_cross_counts_octahedron():
     g = octahedron_graph()
     assert cross_polytope_counts(g, 2) == (1, 1)
     # the octahedron contains exactly three induced 4-cycles, its equators;
-    # frozen from the exhaustive 4-subset oracle (see the decisions ledger)
+    # frozen from the exhaustive 4-subset oracle (see docs/decisions.md, section 3)
     assert brute_cross_counts(6, g.neighbor_sets, 1) == (3, 0)
     assert cross_polytope_counts(g, 1) == (3, 0)
 
@@ -269,10 +273,45 @@ def test_tree_bound_on_path_six():
     g = path_graph(6)
     t1, t2, t3 = subgraph_counts(g, tree_patterns_order5(), induced=False)
     assert (t1, t2, t3) == (2, 0, 0)
+    assert tree_counts_order5(g) == (t1, t2, t3)
     c = clique_complex(g, 2)
     fge5 = faces_on_large_components(c, g, 1, 5)
     assert fge5 == 5
     assert fge5 <= 4 * (t1 + t2 + t3)
+
+
+def _tree_census_oracle(g: Graph) -> tuple[int, int, int]:
+    return tuple(subgraph_counts(g, tree_patterns_order5(), induced=False))
+
+
+def test_tree_counts_match_subgraph_counts_on_er_graphs():
+    # every size from the empty graph up, at both ends of p as well
+    for n in range(15):
+        for j, p in enumerate((0.0, 0.1, 0.25, 0.5, 0.75, 1.0)):
+            g = gen_er_graph(n, p, RngStream(331, 10 * n + j))
+            assert tree_counts_order5(g) == _tree_census_oracle(g)
+
+
+def test_tree_counts_match_subgraph_counts_on_rips_graphs():
+    # the graphs of the rips-k1 regime at n=500, alpha=2, where t1-t3 are used
+    spec = RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0)
+    r = spec.resolve_r()
+    for t in range(3):
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(333, t))
+        g = geometric_graph(pts, r)
+        assert g.edge_count > 0
+        assert tree_counts_order5(g) == _tree_census_oracle(g)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_tree_counts_on_complete_graphs(n):
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    path = math.factorial(n) // (2 * math.factorial(n - 5))
+    star = n * math.comb(n - 1, 4)
+    spider = n * (n - 1) * (n - 2) * math.comb(n - 3, 2)
+    assert tree_counts_order5(g) == (path, star, spider)
+    if n == 6:
+        assert (path, star, spider) == (360, 30, 360)
 
 
 def test_automorphism_counts():
@@ -380,7 +419,7 @@ def test_extension_types_k2_honest_count():
     # the extension algorithm provably yields 18 classes for k=2, verified
     # here against a brute-force permutation-isomorphism dedup of all runs;
     # the acceptance suite pins 17 and is an expected failure (see the
-    # decisions ledger for the counting argument)
+    # docs/decisions.md, section 2, for the counting argument)
     from oracles import is_isomorphic
 
     types2 = enumerate_extension_types(2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 
 import pytest
 
@@ -114,6 +115,22 @@ def test_census_command_to_file(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["census"]["S_iso_3"] <= payload["census"]["S_3"]
+
+
+def test_output_files_follow_umask(tmp_path):
+    # written through a temp file, yet with the mode open(path, "w") gives
+    old = os.umask(0o022)
+    try:
+        csv, summary, census = (tmp_path / n for n in ("t.csv", "s.json", "c.json"))
+        assert run_cli(["experiment", "--model", "er", "--n", 8, "--p", 0.3,
+                        "--k", 1, "--trials", 2, "--seed", 5,
+                        "--out-csv", csv, "--out-json", summary]) == 0
+        assert run_cli(["census", "--model", "er", "--k", 1, "--n", 8,
+                        "--p", 0.3, "--seed", 5, "--out", census]) == 0
+        for path in (csv, summary, census):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+    finally:
+        os.umask(old)
 
 
 def test_extension_types_output(capsys):

@@ -296,7 +296,7 @@ def test_cech_prediction_matches_empty_simplex_mean():
     # the alpha*mu/k! prediction is the common limit of E[S] and E[S_iso];
     # at n=500 the raw empty-simplex count S has converged, while isolation
     # still carries an O(n r^d) finite-size factor that keeps S_iso well
-    # below the shared limit (see the decisions ledger)
+    # below the shared limit (see docs/decisions.md, section 4)
     spec = RegimeSpec(model="cech", k=3, n=500, d=2, alpha=3.0)
     mu = estimate_mu(3, 2, 600_000, RngStream(51))
     targets = theorem_targets(spec, mu_estimate=mu)
@@ -412,7 +412,7 @@ def test_trial_row_is_projected_instance_census(name):
         ("cech", "y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
         ("rips-k1", "cross_polytope_counts", lambda g, k: (10**9, 10**9),
          "Rips sandwich violation"),
-        ("rips-k1", "subgraph_counts", lambda g, patterns, induced: [0, 0, 0],
+        ("rips-k1", "tree_counts_order5", lambda g: (0, 0, 0),
          "tree bound violation"),
         ("rips-k2", "faces_on_large_components", lambda c, g, k, i: 10**9,
          "census inconsistency"),
