@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 One expected failure is recorded: the k=2 extension-type enumeration
-provably yields 18 isomorphism classes, not the pinned value of 17; the
+provably yields 18 isomorphism classes, not the pinned value of 17;
 docs/decisions.md carries the counting argument.
 """
 

@@ -418,7 +418,7 @@ def test_extension_types_k0_and_k1():
 def test_extension_types_k2_honest_count():
     # the extension algorithm provably yields 18 classes for k=2, verified
     # here against a brute-force permutation-isomorphism dedup of all runs;
-    # the acceptance suite pins 17 and is an expected failure (see the
+    # the acceptance suite pins 17 and is an expected failure (see
     # docs/decisions.md, section 2, for the counting argument)
     from oracles import is_isomorphic
 
