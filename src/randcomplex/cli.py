@@ -49,10 +49,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_NUMBER = (int, float)
+# The type argparse gives each regime flag, in flag order.
+_KEY_TYPES = {
+    "model": (str,), "k": (int,), "n": (int,), "d": (int,), "p": _NUMBER,
+    "r": _NUMBER, "gamma": _NUMBER, "alpha": _NUMBER, "density": (str,),
+}
+_REGIME_KEYS = tuple(_KEY_TYPES)
+
+
 def _merge_config(args: argparse.Namespace, keys) -> dict:
     """Optional JSON config file; explicit flags override file values.
 
-    The model name "er" is an alias of "er_clique", in files and flags alike.
+    File values are type-checked against their flags. The model name "er"
+    is an alias of "er_clique", in files and flags alike.
     """
     merged = {}
     if getattr(args, "config", None):
@@ -63,6 +73,13 @@ def _merge_config(args: argparse.Namespace, keys) -> dict:
         for key, val in file_cfg.items():
             if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
+            # a file value must have its flag's type; JSON true/false is no number
+            expected = _KEY_TYPES[key]
+            if isinstance(val, bool) or not isinstance(val, expected):
+                names = " or ".join(t.__name__ for t in expected)
+                raise ValueError(
+                    f"config key {key!r} must be {names}, got {json.dumps(val)}"
+                )
             merged[key] = val
     for key in keys:
         val = getattr(args, key, None)
@@ -88,9 +105,6 @@ def _regime_from(cfg: dict) -> RegimeSpec:
         alpha=cfg.get("alpha"),
         density=cfg.get("density", "uniform_cube"),
     )
-
-
-_REGIME_KEYS = ("model", "k", "n", "d", "p", "r", "gamma", "alpha", "density")
 
 
 def _add_regime_flags(parser: argparse.ArgumentParser) -> None:

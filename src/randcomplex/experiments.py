@@ -37,7 +37,7 @@ from .generators import (
     geometric_graph,
     sample_points,
 )
-from .homology import DEFAULT_PRIME, betti_numbers
+from .homology import DEFAULT_PRIME, betti_numbers, require_prime_field
 
 MODELS = ("er_clique", "cech", "rips")
 
@@ -69,6 +69,7 @@ class RegimeSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        require_prime_field(self.field_prime)
         if self.model == "er_clique":
             if self.k < 0:
                 raise ValueError("k must be >= 0")

@@ -1,8 +1,12 @@
 """Simplicial homology ranks over GF(q), plus an exact rational oracle.
 
 Betti numbers come from rank-nullity: beta_k = f_k - rank d_k - rank d_{k+1}.
-The working field is a large prime; rank over GF(q) equals the rational rank
-unless q divides a torsion coefficient, which a second-prime pass detects.
+The working field is a prime q below 2^31; rank over GF(q) equals the
+rational rank unless q divides a torsion coefficient, which a second-prime
+pass detects. rank d_1 = f_0 - #components over every field, so
+`betti_numbers` counts it by union-find over the edges and reduces only
+d_2 and up; `betti_numbers_exact` runs Bareiss on every degree, d_1
+included (docs/decisions.md, section 5).
 """
 
 from __future__ import annotations
@@ -15,6 +19,32 @@ from .complexes import SimplicialComplex, components, f_vector, skeleton_graph
 
 DEFAULT_PRIME = 2147483629  # large prime below 2^31; products fit in int64
 _DENSE_CELL_LIMIT = 20_000  # switch to sparse column reduction above this area
+
+
+def require_prime_field(q: int) -> None:
+    """Raise ValueError unless q is a prime below 2^31.
+
+    Below 2^31 the dense path's int64 products (q-1)^2 cannot overflow, and
+    Miller-Rabin to the bases 2, 3, 5, 7 is exact: the least strong
+    pseudoprime to all four is 3,215,031,751.
+    """
+    if isinstance(q, bool) or not isinstance(q, int) or not 2 <= q < 2**31:
+        raise ValueError(f"field size q={q!r} must be a prime below 2^31")
+    if q in (2, 3, 5, 7):
+        return
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, q)
+        if x in (1, q - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            raise ValueError(f"field size q={q} is not a prime")
 
 
 @dataclass(frozen=True)
@@ -112,12 +142,30 @@ def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
 
 
 def rank_gf(bm: BoundaryMatrix, q: int = DEFAULT_PRIME) -> int:
-    """Rank of the boundary matrix over GF(q)."""
+    """Rank of the boundary matrix over GF(q), q a prime below 2^31."""
+    require_prime_field(q)
     if bm.row_count == 0 or bm.col_count == 0:
         return 0
     if bm.row_count * bm.col_count <= _DENSE_CELL_LIMIT:
         return _rank_dense_gf(bm.dense(q), q)
     return _rank_sparse_gf(bm, q)
+
+
+def _rank_d1(c: SimplicialComplex) -> int:
+    """rank d_1 = f_0 - #components: the edges that join two union-find trees."""
+    parent = list(range(c.vertex_count))
+    rank = 0
+    for u, v in c.faces[1]:
+        while parent[u] != u:  # find with path halving
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
 
 
 def _rank_exact(bm: BoundaryMatrix) -> int:
@@ -171,10 +219,11 @@ class BettiVector:
 
 
 def _betti_from_ranks(c: SimplicialComplex, up_to: int, rank_of) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Betti numbers and ranks, with rank_of(k) giving rank d_k."""
     f = f_vector(c)
     ranks = [0]
     for k in range(1, up_to + 2):
-        ranks.append(rank_of(boundary_matrix(c, k)))
+        ranks.append(rank_of(k))
     betti = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(up_to + 1))
     if any(b < 0 for b in betti):
         raise RuntimeError(f"negative Betti number from ranks {ranks}")
@@ -188,16 +237,20 @@ def betti_numbers(
 
     beta_k needs faces of dimension k+1 (the relations), so up_to must be
     at most max_dim - 1; a silently truncated complex would inflate the top
-    Betti number. beta_0 is cross-checked against the component count of
-    the 1-skeleton.
+    Betti number. rank d_1 comes from a union-find over the edges, and
+    beta_0 = f_0 - rank d_1 is cross-checked against a BFS component count
+    of the 1-skeleton.
     """
+    require_prime_field(q)
     if up_to is None:
         up_to = c.max_dim - 1
     if up_to < 0 or up_to > c.max_dim - 1:
         raise ValueError(
             f"up_to={up_to} requires faces of dimension {up_to + 1}; complex has max_dim={c.max_dim}"
         )
-    betti, ranks = _betti_from_ranks(c, up_to, lambda bm: rank_gf(bm, q))
+    betti, ranks = _betti_from_ranks(
+        c, up_to, lambda k: _rank_d1(c) if k == 1 else rank_gf(boundary_matrix(c, k), q)
+    )
     comp_count = components(skeleton_graph(c)).count
     if betti[0] != comp_count:
         raise RuntimeError(
@@ -212,7 +265,7 @@ def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> Betti
         up_to = c.max_dim - 1
     if up_to < 0 or up_to > c.max_dim - 1:
         raise ValueError(f"up_to={up_to} out of range for max_dim={c.max_dim}")
-    betti, ranks = _betti_from_ranks(c, up_to, _rank_exact)
+    betti, ranks = _betti_from_ranks(c, up_to, lambda k: _rank_exact(boundary_matrix(c, k)))
     return BettiVector(None, betti, ranks)
 
 

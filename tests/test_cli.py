@@ -94,6 +94,26 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["experiment", "sweep", "census"])
+@pytest.mark.parametrize(
+    "bad, key", [({"k": "1"}, "k"), ({"n": 10.5}, "n"), ({"alpha": True}, "alpha")]
+)
+def test_config_file_rejects_mistyped_values(tmp_path, capsys, command, bad, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "er", "k": 1, "n": 10, **bad}))
+    extra = {
+        "experiment": ["--p", 0.1, "--trials", 2, "--out-csv", tmp_path / "t.csv",
+                       "--out-json", tmp_path / "s.json"],
+        "sweep": ["--grid", "0.1", "--trials", 2, "--out", tmp_path / "w.csv"],
+        "census": ["--p", 0.1],
+    }[command]
+    code = run_cli([command, "--config", cfg, "--seed", 1] + extra)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and repr(key) in err
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("s.json"))
+
+
 def test_census_command_stdout(capsys):
     code = run_cli(["census", "--model", "rips", "--k", 1, "--d", 2,
                     "--n", 50, "--alpha", 1.0, "--seed", 11])

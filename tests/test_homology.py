@@ -6,19 +6,33 @@ import numpy as np
 import pytest
 
 from randcomplex import (
+    DensitySpec,
     Graph,
+    RegimeSpec,
     RngStream,
     SimplicialComplex,
     betti_numbers,
     betti_numbers_exact,
     boundary_matrix,
+    cech_complex,
     check_field_independence,
     clique_complex,
+    components,
     euler_characteristic,
     f_vector,
     gen_er_graph,
+    rips_complex,
+    sample_points,
 )
-from randcomplex.homology import _rank_dense_gf, _rank_sparse_gf, rank_gf
+from randcomplex import homology
+from randcomplex.homology import (
+    DEFAULT_PRIME,
+    _rank_dense_gf,
+    _rank_exact,
+    _rank_sparse_gf,
+    rank_gf,
+    require_prime_field,
+)
 
 
 def octahedron_graph() -> Graph:
@@ -212,3 +226,86 @@ def test_betti_vector_json():
     bv = betti_numbers(c, 1)
     d = bv.to_json_dict()
     assert d == {"q": 2147483629, "betti": [1, 0], "ranks": [0, 2, 1]}
+
+
+def assert_d1_rank_matches_eliminations(c: SimplicialComplex) -> None:
+    """The union-find rank d_1 that betti_numbers reports, against both eliminations."""
+    bm = boundary_matrix(c, 1)
+    expected = c.vertex_count - components(Graph.from_edges(c.vertex_count, c.faces[1])).count
+    assert _rank_exact(bm) == expected
+    for q in (DEFAULT_PRIME, 2):
+        assert betti_numbers(c, q=q).ranks[1] == _rank_sparse_gf(bm, q) == expected
+
+
+def test_rank_d1_union_find_matches_eliminations_er():
+    gen = RngStream(29).generator()
+    for n in range(15):
+        for p in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+            g = gen_er_graph(n, p, RngStream(int(gen.integers(2**32))))
+            assert_d1_rank_matches_eliminations(clique_complex(g, 2))
+
+
+def test_rank_d1_union_find_matches_eliminations_geometric():
+    for t in range(3):
+        pts = sample_points(80, DensitySpec("uniform_cube", 2), RngStream(31, t))
+        assert_d1_rank_matches_eliminations(rips_complex(pts, 0.06, 2))
+        assert_d1_rank_matches_eliminations(cech_complex(pts, 0.06, 2))
+
+
+def test_rank_d1_degenerate_and_disconnected():
+    for n in (0, 1):
+        c = clique_complex(Graph.from_edges(n, []), 1)
+        assert_d1_rank_matches_eliminations(c)
+        assert betti_numbers(c).betti == (n,)
+    # triangle, four-cycle, a path and two isolated vertices: 5 components
+    edges = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6), (7, 8), (8, 9)]
+    c = clique_complex(Graph.from_edges(12, edges), 2)
+    assert_d1_rank_matches_eliminations(c)
+    bv = betti_numbers(c)
+    assert bv.betti == (5, 1) and bv.ranks[1] == 7
+
+
+def test_beta0_cross_check_catches_wrong_d1_rank(monkeypatch):
+    union_find = homology._rank_d1
+    monkeypatch.setattr(homology, "_rank_d1", lambda c: union_find(c) + 1)
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    with pytest.raises(RuntimeError, match="disagrees with component count"):
+        betti_numbers(clique_complex(g, 2))
+
+
+@pytest.mark.parametrize("q", [0, 1, 4, 2**61 - 1, -7, 2.0, True, 2**31 + 11])
+def test_field_size_must_be_prime_below_2_31(q):
+    c = clique_complex(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), 2)
+    with pytest.raises(ValueError):
+        require_prime_field(q)
+    with pytest.raises(ValueError):
+        rank_gf(boundary_matrix(c, 2), q)
+    with pytest.raises(ValueError):
+        betti_numbers(c, q=q)
+    with pytest.raises(ValueError):
+        check_field_independence(c, q2=q)
+    with pytest.raises(ValueError):
+        RegimeSpec(model="er_clique", k=1, n=10, p=0.5, field_prime=q)
+
+
+def test_prime_field_test_matches_trial_division():
+    def is_prime(m):
+        return m >= 2 and all(m % f for f in range(2, int(m**0.5) + 1))
+
+    candidates = list(range(3000)) + list(range(2**31 - 2000, 2**31))
+    for m in candidates:
+        try:
+            require_prime_field(m)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == is_prime(m), m
+
+
+def test_small_and_default_primes_still_work():
+    c = clique_complex(octahedron_graph(), 3)
+    for q in (2, 3, DEFAULT_PRIME, 2147483587):
+        assert betti_numbers(c, q=q).betti == (1, 0, 1)
+    b1, b2, agree = check_field_independence(c, q1=2, q2=3)
+    assert agree and (b1.field_prime, b2.field_prime) == (2, 3)
+    assert RegimeSpec(model="er_clique", k=1, n=10, p=0.5, field_prime=3).field_prime == 3
