@@ -84,6 +84,11 @@ class RegimeSpec:
                 raise ValueError("cech regime needs k >= 3 (Y/Z attachments)")
             if self.model == "rips" and self.k < 1:
                 raise ValueError("rips regime needs k >= 1")
+        if self.n < 1 and (self.gamma is not None or self.alpha is not None):
+            raise ValueError("a scaling rule (gamma or alpha) needs n >= 1; give p or r")
+        if self.alpha is not None and not self.alpha > 0:
+            raise ValueError(f"alpha={self.alpha} must be positive")
+        self.resolved_parameters()  # p in [0, 1], r positive and finite
 
     def resolve_p(self) -> float:
         if self.model != "er_clique":
@@ -104,8 +109,8 @@ class RegimeSpec:
             r = (self.alpha / self.n ** (2 * self.k + 2)) ** (
                 1.0 / (self.d * (2 * self.k + 1))
             )
-        if not r > 0:
-            raise ValueError(f"resolved r={r} must be positive")
+        if not (r > 0 and math.isfinite(r)):
+            raise ValueError(f"resolved r={r} must be positive and finite")
         return r
 
     def resolved_parameters(self) -> dict:
@@ -126,7 +131,7 @@ class RegimeSpec:
                 notes.append(
                     f"p={p:.6g} >= n^(-1/(k+1)): above the CLT regime upper edge"
                 )
-        if self.model in ("cech", "rips") and self.n > 0:
+        if self.model in ("cech", "rips"):
             r = self.resolve_r()
             density_mass = self.n * r**self.d
             if density_mass > 0.5:
@@ -311,7 +316,6 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    spec.resolved_parameters()  # validate the regime before spawning workers
     args = [(spec, master_seed, t) for t in range(trials)]
     if workers <= 1:
         rows = [_run_trial(a) for a in args]

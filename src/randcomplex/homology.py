@@ -4,9 +4,9 @@ Betti numbers come from rank-nullity: beta_k = f_k - rank d_k - rank d_{k+1}.
 The working field is a prime q below 2^31; rank over GF(q) equals the
 rational rank unless q divides a torsion coefficient, which a second-prime
 pass detects. rank d_1 = f_0 - #components over every field, so
-`betti_numbers` counts it by union-find over the edges and reduces only
-d_2 and up; `betti_numbers_exact` runs Bareiss on every degree, d_1
-included (docs/decisions.md, section 5).
+`betti_numbers` counts it by union-find over the edges and reduces d_2 and
+up by one sparse column reduction; `betti_numbers_exact` runs Bareiss on
+every degree, d_1 included (docs/decisions.md, section 5).
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ import numpy as np
 
 from .complexes import SimplicialComplex, components, f_vector, skeleton_graph
 
-DEFAULT_PRIME = 2147483629  # large prime below 2^31; products fit in int64
-_DENSE_CELL_LIMIT = 20_000  # switch to sparse column reduction above this area
+DEFAULT_PRIME = 2147483629  # large prime below 2^31, the bound of require_prime_field
 
 
 def require_prime_field(q: int) -> None:
     """Raise ValueError unless q is a prime below 2^31.
 
-    Below 2^31 the dense path's int64 products (q-1)^2 cannot overflow, and
-    Miller-Rabin to the bases 2, 3, 5, 7 is exact: the least strong
-    pseudoprime to all four is 3,215,031,751.
+    The bound keeps the primality test exact: Miller-Rabin to the bases
+    2, 3, 5, 7 has no strong pseudoprime below 3,215,031,751 > 2^31.
     """
     if isinstance(q, bool) or not isinstance(q, int) or not 2 <= q < 2**31:
         raise ValueError(f"field size q={q!r} must be a prime below 2^31")
@@ -82,34 +80,6 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
 
 
-def _rank_dense_gf(mat: np.ndarray, q: int) -> int:
-    """Row-echelon rank of an int64 matrix over GF(q)."""
-    mat = np.mod(mat, q)
-    if mat.shape[0] > mat.shape[1]:
-        mat = mat.T.copy()
-    rows, cols = mat.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivots = np.nonzero(mat[rank:, c])[0]
-        if pivots.size == 0:
-            continue
-        p = pivots[0] + rank
-        if p != rank:
-            mat[[rank, p]] = mat[[p, rank]]
-        inv = pow(int(mat[rank, c]), -1, q)
-        mat[rank] = (mat[rank] * inv) % q
-        below = np.nonzero(mat[rank + 1 :, c])[0]
-        if below.size:
-            rows_below = below + rank + 1
-            mat[rows_below] = (
-                mat[rows_below] - np.outer(mat[rows_below, c], mat[rank])
-            ) % q
-        rank += 1
-    return rank
-
-
 def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
     """Left-to-right column reduction (persistence-style) over GF(q).
 
@@ -144,10 +114,6 @@ def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
 def rank_gf(bm: BoundaryMatrix, q: int = DEFAULT_PRIME) -> int:
     """Rank of the boundary matrix over GF(q), q a prime below 2^31."""
     require_prime_field(q)
-    if bm.row_count == 0 or bm.col_count == 0:
-        return 0
-    if bm.row_count * bm.col_count <= _DENSE_CELL_LIMIT:
-        return _rank_dense_gf(bm.dense(q), q)
     return _rank_sparse_gf(bm, q)
 
 
@@ -218,8 +184,19 @@ class BettiVector:
         return {"q": self.field_prime, "betti": list(self.betti), "ranks": list(self.ranks)}
 
 
-def _betti_from_ranks(c: SimplicialComplex, up_to: int, rank_of) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Betti numbers and ranks, with rank_of(k) giving rank d_k."""
+def _betti_from_ranks(c: SimplicialComplex, up_to: int | None, rank_of) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Betti numbers and ranks, with rank_of(k) giving rank d_k.
+
+    beta_k needs faces of dimension k+1 (the relations), so up_to (default
+    max_dim - 1) must lie in 0..max_dim - 1; a silently truncated complex
+    would inflate the top Betti number.
+    """
+    if up_to is None:
+        up_to = c.max_dim - 1
+    if not 0 <= up_to <= c.max_dim - 1:
+        raise ValueError(
+            f"up_to={up_to} requires faces of dimension {up_to + 1}; complex has max_dim={c.max_dim}"
+        )
     f = f_vector(c)
     ranks = [0]
     for k in range(1, up_to + 2):
@@ -235,19 +212,11 @@ def betti_numbers(
 ) -> BettiVector:
     """Betti numbers beta_0..beta_{up_to} over GF(q) by boundary ranks.
 
-    beta_k needs faces of dimension k+1 (the relations), so up_to must be
-    at most max_dim - 1; a silently truncated complex would inflate the top
-    Betti number. rank d_1 comes from a union-find over the edges, and
-    beta_0 = f_0 - rank d_1 is cross-checked against a BFS component count
-    of the 1-skeleton.
+    rank d_1 comes from a union-find over the edges, and beta_0 = f_0 -
+    rank d_1 is cross-checked against a BFS component count of the
+    1-skeleton.
     """
     require_prime_field(q)
-    if up_to is None:
-        up_to = c.max_dim - 1
-    if up_to < 0 or up_to > c.max_dim - 1:
-        raise ValueError(
-            f"up_to={up_to} requires faces of dimension {up_to + 1}; complex has max_dim={c.max_dim}"
-        )
     betti, ranks = _betti_from_ranks(
         c, up_to, lambda k: _rank_d1(c) if k == 1 else rank_gf(boundary_matrix(c, k), q)
     )
@@ -261,10 +230,6 @@ def betti_numbers(
 
 def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> BettiVector:
     """Brute-force oracle: Betti numbers over Q by fraction-free elimination."""
-    if up_to is None:
-        up_to = c.max_dim - 1
-    if up_to < 0 or up_to > c.max_dim - 1:
-        raise ValueError(f"up_to={up_to} out of range for max_dim={c.max_dim}")
     betti, ranks = _betti_from_ranks(c, up_to, lambda k: _rank_exact(boundary_matrix(c, k)))
     return BettiVector(None, betti, ranks)
 

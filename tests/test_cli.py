@@ -69,6 +69,46 @@ def test_invalid_regime_leaves_no_partial_files(tmp_path, capsys):
     assert not list(tmp_path.glob(".tmp-*"))
 
 
+@pytest.mark.parametrize("command", ["experiment", "census"])
+@pytest.mark.parametrize(
+    "regime",
+    [
+        ["--model", "rips", "--k", 1, "--n", 0, "--alpha", 2],
+        ["--model", "cech", "--k", 3, "--n", 0, "--alpha", 2],
+        ["--model", "er", "--k", 1, "--n", 0, "--gamma", 0.7],
+        ["--model", "rips", "--k", 1, "--n", 10, "--alpha", -1],
+        ["--model", "rips", "--k", 1, "--n", 10, "--alpha", "inf"],
+    ],
+)
+def test_degenerate_scaling_is_a_config_error(tmp_path, capsys, command, regime):
+    extra = {
+        "experiment": ["--trials", 2, "--out-csv", tmp_path / "t.csv",
+                       "--out-json", tmp_path / "s.json"],
+        "census": ["--out", tmp_path / "c.json"],
+    }[command]
+    code = run_cli([command] + regime + ["--seed", 1] + extra)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_rejects_infinite_radius(tmp_path, capsys):
+    code = run_cli(["sweep", "--model", "rips", "--k", 1, "--n", 10, "--grid", "inf",
+                    "--trials", 2, "--seed", 1, "--out", tmp_path / "w.csv"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config:")
+    assert not list(tmp_path.iterdir())
+
+
+def test_explicit_parameter_at_n0_gives_empty_census(capsys):
+    for regime in (["--model", "rips", "--k", 1, "--r", 0.1],
+                   ["--model", "cech", "--k", 3, "--r", 0.1],
+                   ["--model", "er", "--k", 1, "--p", 0.5]):
+        assert run_cli(["census", "--n", 0, "--seed", 1] + regime) == 0
+        census = json.loads(capsys.readouterr().out)["census"]
+        assert census["f_0"] == census["betti_0"] == 0
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "er_clique", "n": 10, "k": 1, "p": 0.0}))

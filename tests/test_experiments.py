@@ -50,6 +50,7 @@ def test_regime_resolution_formulas():
     assert cech.resolve_r() == pytest.approx((3.0 / 500**3) ** 0.25)
     rips = RegimeSpec(model="rips", k=1, n=300, d=2, alpha=2.0)
     assert rips.resolve_r() == pytest.approx((2.0 / 300**4) ** (1.0 / 6.0))
+    assert RegimeSpec(model="er_clique", k=1, n=1, gamma=0.7).resolve_p() == 1.0
 
 
 def test_regime_rejects_unscaled_models():
@@ -57,6 +58,27 @@ def test_regime_rejects_unscaled_models():
         RegimeSpec(model="cech", k=2, n=100, d=2, alpha=1.0)  # k<3
     with pytest.raises(ValueError):
         RegimeSpec(model="er_clique", k=1, n=10, p=1.5).resolve_p()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(model="rips", k=1, n=0, alpha=2.0), "needs n >= 1"),
+        (dict(model="cech", k=3, n=0, alpha=2.0), "needs n >= 1"),
+        (dict(model="er_clique", k=1, n=0, gamma=0.7), "needs n >= 1"),
+        (dict(model="rips", k=1, n=10, alpha=-1.0), "must be positive"),
+        (dict(model="cech", k=3, n=10, alpha=0.0), "must be positive"),
+        (dict(model="rips", k=1, n=10, alpha=math.nan), "must be positive"),
+        (dict(model="rips", k=1, n=10, alpha=math.inf), "finite"),
+        (dict(model="cech", k=3, n=10, r=math.inf), "finite"),
+        (dict(model="rips", k=1, n=10, r=math.nan), "finite"),
+        (dict(model="er_clique", k=1, n=10, p=math.inf), "outside"),
+        (dict(model="er_clique", k=1, n=10, p=math.nan), "outside"),
+    ],
+)
+def test_regime_rejects_degenerate_scaling(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RegimeSpec(**kwargs)
 
 
 def test_regime_warnings():

@@ -27,7 +27,6 @@ from randcomplex import (
 from randcomplex import homology
 from randcomplex.homology import (
     DEFAULT_PRIME,
-    _rank_dense_gf,
     _rank_exact,
     _rank_sparse_gf,
     rank_gf,
@@ -134,19 +133,54 @@ def test_betti_matches_exact_oracle_quick():
         assert betti_numbers(c, up_to).betti == betti_numbers_exact(c, up_to).betti
 
 
-def test_rank_dense_vs_sparse_agree():
+def complete_complex(m: int, max_dim: int) -> SimplicialComplex:
+    return clique_complex(
+        Graph.from_edges(m, [(u, v) for u in range(m) for v in range(u + 1, m)]), max_dim
+    )
+
+
+def test_rank_sparse_matches_exact_and_float_rank():
     gen = RngStream(4).generator()
     q = 2147483629
+    matrices = []
     for _ in range(60):
         n = int(gen.integers(3, 12))
         g = gen_er_graph(n, 0.5, RngStream(int(gen.integers(2**32))))
         c = clique_complex(g, 3)
-        for k in range(1, c.max_dim + 1):
-            bm = boundary_matrix(c, k)
-            if bm.col_count == 0:
-                continue
-            assert _rank_sparse_gf(bm, q) == _rank_dense_gf(bm.dense(q), q)
-            assert rank_gf(bm, q) == np.linalg.matrix_rank(bm.dense().astype(float))
+        matrices += [boundary_matrix(c, k) for k in range(1, c.max_dim + 1)]
+    # complete complexes: the heaviest fill-in for the column reduction
+    for m in range(6, 11):
+        c = complete_complex(m, 4)
+        matrices += [boundary_matrix(c, k) for k in (2, 3, 4)]
+    for bm in matrices:
+        if bm.col_count == 0:
+            continue
+        rank = _rank_sparse_gf(bm, q)
+        assert rank == rank_gf(bm, q) == _rank_exact(bm)
+        assert rank == np.linalg.matrix_rank(bm.dense().astype(float))
+
+
+def real_projective_plane() -> SimplicialComplex:
+    """The 6-vertex RP^2: f = (6, 15, 10), torsion Z/2 in H_1."""
+    triangles = [
+        (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+        (1, 2, 4), (2, 3, 5), (1, 3, 4), (1, 3, 5), (2, 4, 5),
+    ]
+    edges = sorted({e for t in triangles for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))})
+    vertices = [(v,) for v in range(6)]
+    return SimplicialComplex.from_face_lists(6, [vertices, edges, triangles], max_dim=3)
+
+
+def test_rank_depends_on_field_for_torsion():
+    c = real_projective_plane()
+    assert f_vector(c) == (6, 15, 10, 0)
+    # over GF(2) the torsion of H_1 drops rank d_2 from 10 to 9
+    assert betti_numbers(c, 2, q=2).betti == (1, 1, 1)
+    assert betti_numbers(c, 2, q=3).betti == (1, 0, 0)
+    assert betti_numbers(c, 2).betti == (1, 0, 0)
+    assert betti_numbers_exact(c, 2).betti == (1, 0, 0)
+    _, _, agree = check_field_independence(c, 2)
+    assert agree
 
 
 def test_euler_characteristic_examples():
