@@ -765,63 +765,49 @@ def _hits_general(Y: np.ndarray, k: int, rho: float) -> int:
 class CensusReport:
     """Every counter from the sandwich bounds for one complex instance.
 
-    Maps are empty when a counter family was not requested for the model
-    at hand; `trees` holds the non-induced path, star and spider counts
-    (t1, t2, t3) of the Rips k=1 tree bound. Keys follow the stable flat
-    naming used in serialized output.
+    The counters refer to degree `k`; each is None when the model at hand
+    does not take it. `f_ge` maps i to f_k^(>=i), and `trees` holds the
+    non-induced path, star and spider counts (t1, t2, t3) of the Rips k=1
+    tree bound. Keys follow the stable flat naming used in serialized
+    output.
     """
 
     f: tuple[int, ...]
     betti: tuple[int, ...]
+    k: int
     euler: int | None = None
-    s_empty: dict[int, int] = field(default_factory=dict)
-    s_isolated: dict[int, int] = field(default_factory=dict)
-    y_count: dict[int, int] = field(default_factory=dict)
-    z_count: dict[int, int] = field(default_factory=dict)
-    o_induced: dict[int, int] = field(default_factory=dict)
-    o_component: dict[int, int] = field(default_factory=dict)
-    f_ge: dict[tuple[int, int], int] = field(default_factory=dict)
+    s_empty: int | None = None
+    s_isolated: int | None = None
+    y_count: int | None = None
+    z_count: int | None = None
+    o_induced: int | None = None
+    o_component: int | None = None
+    f_ge: dict[int, int] = field(default_factory=dict)
     trees: tuple[int, ...] = ()
 
     def validate(self) -> None:
-        for k, s in self.s_isolated.items():
-            if k in self.s_empty and s > self.s_empty[k]:
-                raise ValueError(f"S_iso_{k}={s} exceeds S_{k}={self.s_empty[k]}")
-        for k, oc in self.o_component.items():
-            if k in self.o_induced and oc > self.o_induced[k]:
-                raise ValueError(f"o_comp_{k}={oc} exceeds o_{k}={self.o_induced[k]}")
-        by_k: dict[int, list[tuple[int, int]]] = {}
-        for (k, i), v in self.f_ge.items():
-            by_k.setdefault(k, []).append((i, v))
-            if i == 1 and k < len(self.f) and v != self.f[k]:
-                raise ValueError(f"f_{k}_ge_1={v} != f_{k}={self.f[k]}")
-        for k, pairs in by_k.items():
-            pairs.sort()
-            for (_, a), (_, b) in zip(pairs, pairs[1:]):
-                if b > a:
-                    raise ValueError(f"f_{k}_ge_i increasing in i")
+        k = self.k
+        if None not in (self.s_empty, self.s_isolated) and self.s_isolated > self.s_empty:
+            raise ValueError(f"S_iso_{k}={self.s_isolated} exceeds S_{k}={self.s_empty}")
+        if None not in (self.o_induced, self.o_component) and self.o_component > self.o_induced:
+            raise ValueError(f"o_comp_{k}={self.o_component} exceeds o_{k}={self.o_induced}")
+        if 1 in self.f_ge and k < len(self.f) and self.f_ge[1] != self.f[k]:
+            raise ValueError(f"f_{k}_ge_1={self.f_ge[1]} != f_{k}={self.f[k]}")
+        values = [v for _, v in sorted(self.f_ge.items())]
+        if any(b > a for a, b in zip(values, values[1:])):
+            raise ValueError(f"f_{k}_ge_i increasing in i")
 
     def to_json_dict(self) -> dict:
-        out: dict[str, int | None] = {}
-        for i, v in enumerate(self.f):
-            out[f"f_{i}"] = v
-        for i, v in enumerate(self.betti):
-            out[f"betti_{i}"] = v
+        k = self.k
+        out: dict[str, int | None] = {f"f_{i}": v for i, v in enumerate(self.f)}
+        out.update({f"betti_{i}": v for i, v in enumerate(self.betti)})
         out["euler"] = self.euler
-        for k in sorted(self.s_empty):
-            out[f"S_{k}"] = self.s_empty[k]
-        for k in sorted(self.s_isolated):
-            out[f"S_iso_{k}"] = self.s_isolated[k]
-        for k in sorted(self.y_count):
-            out[f"Y_{k}"] = self.y_count[k]
-        for k in sorted(self.z_count):
-            out[f"Z_{k}"] = self.z_count[k]
-        for k in sorted(self.o_induced):
-            out[f"o_{k}"] = self.o_induced[k]
-        for k in sorted(self.o_component):
-            out[f"o_comp_{k}"] = self.o_component[k]
-        for k, i in sorted(self.f_ge):
-            out[f"f_{k}_ge_{i}"] = self.f_ge[(k, i)]
-        for i, v in enumerate(self.trees, 1):
-            out[f"t{i}"] = v
+        counters = (
+            (f"S_{k}", self.s_empty), (f"S_iso_{k}", self.s_isolated),
+            (f"Y_{k}", self.y_count), (f"Z_{k}", self.z_count),
+            (f"o_{k}", self.o_induced), (f"o_comp_{k}", self.o_component),
+        )
+        out.update({name: v for name, v in counters if v is not None})
+        out.update({f"f_{k}_ge_{i}": self.f_ge[i] for i in sorted(self.f_ge)})
+        out.update({f"t{i}": v for i, v in enumerate(self.trees, 1)})
         return out

@@ -19,7 +19,8 @@ Face = tuple[int, ...]
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency."""
 
-    __slots__ = ("vertex_count", "adjacency", "_neighbor_sets")
+    # immutable, so neighbour sets, components and cliques are memos built on first use
+    __slots__ = ("vertex_count", "adjacency", "_neighbor_sets", "_components", "_cliques")
 
     def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]):
         if vertex_count < 0:
@@ -29,6 +30,8 @@ class Graph:
         self.vertex_count = vertex_count
         self.adjacency = adjacency
         self._neighbor_sets: tuple[frozenset[int], ...] | None = None
+        self._components: ComponentDecomposition | None = None
+        self._cliques: tuple[tuple[Face, ...], ...] | None = None
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> Graph:
@@ -48,12 +51,6 @@ class Graph:
         if self._neighbor_sets is None:
             self._neighbor_sets = tuple(frozenset(a) for a in self.adjacency)
         return self._neighbor_sets
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbor_sets[u]
 
     def edges(self):
         """Yield edges (u, v) with u < v in lexicographic order."""
@@ -217,11 +214,13 @@ class ComponentDecomposition:
 
 
 def components(g: Graph) -> ComponentDecomposition:
-    """Decompose `g` into connected components via BFS.
+    """Decompose `g` into connected components via BFS, once per graph.
 
     Two vertices share a label iff they are joined by a path; the label is
     the smallest vertex index in the component.
     """
+    if g._components is not None:
+        return g._components
     n = g.vertex_count
     label = [-1] * n
     sizes: dict[int, int] = {}
@@ -239,7 +238,8 @@ def components(g: Graph) -> ComponentDecomposition:
                     label[v] = start
                     queue.append(v)
         sizes[start] = size
-    return ComponentDecomposition(tuple(label), sizes)
+    g._components = ComponentDecomposition(tuple(label), sizes)
+    return g._components
 
 
 def f_vector(c: SimplicialComplex) -> tuple[int, ...]:

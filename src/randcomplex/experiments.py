@@ -27,7 +27,7 @@ from .census import (
     z_count,
     MuEstimate,
 )
-from .complexes import f_vector
+from .complexes import components, f_vector
 from .generators import (
     DensitySpec,
     RngStream,
@@ -88,7 +88,10 @@ class RegimeSpec:
             raise ValueError("a scaling rule (gamma or alpha) needs n >= 1; give p or r")
         if self.alpha is not None and not self.alpha > 0:
             raise ValueError(f"alpha={self.alpha} must be positive")
-        self.resolved_parameters()  # p in [0, 1], r positive and finite
+        try:
+            self.resolved_parameters()  # p in [0, 1], r positive and finite
+        except OverflowError as exc:  # a power of n in the scaling rule exceeds the float range
+            raise ValueError(f"resolved parameter outside the float range ({exc})") from None
 
     def resolve_p(self) -> float:
         if self.model != "er_clique":
@@ -132,8 +135,10 @@ class RegimeSpec:
                     f"p={p:.6g} >= n^(-1/(k+1)): above the CLT regime upper edge"
                 )
         if self.model in ("cech", "rips"):
-            r = self.resolve_r()
-            density_mass = self.n * r**self.d
+            try:
+                density_mass = self.n * self.resolve_r() ** self.d
+            except OverflowError:  # a huge explicit r
+                density_mass = math.inf
             if density_mass > 0.5:
                 notes.append(
                     f"n*r^d={density_mass:.4g} not small: outside the sparse regime"
@@ -158,8 +163,10 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
 
     This is the whole trial pipeline: trial t of an experiment is
     `instance_census(spec, RngStream(master_seed, t))`. Raises AssertionError
-    when the Morse inequalities, the Cech or Rips sandwich, the tree bound
-    (Rips k=1) or the report's own consistency checks fail. The Euler characteristic is reported only when the built
+    when beta_0 (the union-find over the edges) differs from the BFS
+    component count of g, or when the Morse inequalities, the Cech or Rips
+    sandwich, the tree bound (Rips k=1) or the report's own consistency
+    checks fail. The Euler characteristic is reported only when the built
     complex is provably full-dimensional (its top face layer is empty, so no
     face exists above the cap).
     """
@@ -177,8 +184,11 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
         c = clique_complex(g, k + 1)
     f = f_vector(c)
     betti = betti_numbers(c, top, spec.field_prime).betti
+    comp_count = components(g).count
+    if betti[0] != comp_count:
+        raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")
     _assert_morse(f, betti)
-    report = CensusReport(f=f, betti=betti)
+    report = CensusReport(f=f, betti=betti, k=k)
     if spec.model == "cech":
         s = empty_simplex_count(pts, r, k, g)
         s_iso = isolated_empty_simplex_count(pts, r, k, g)
@@ -188,10 +198,7 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
             raise AssertionError(
                 f"Cech sandwich violation: {s_iso} <= beta_{top}={betti[top]} <= {s}+{y}+{z}"
             )
-        report.s_empty = {k: s}
-        report.s_isolated = {k: s_iso}
-        report.y_count = {k: y}
-        report.z_count = {k: z}
+        report.s_empty, report.s_isolated, report.y_count, report.z_count = s, s_iso, y, z
     elif spec.model == "rips":
         o_ind, o_comp = cross_polytope_counts(g, k)
         fge = faces_on_large_components(c, g, k, 2 * k + 3)
@@ -199,9 +206,8 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
             raise AssertionError(
                 f"Rips sandwich violation: {o_comp} <= beta_{k}={betti[k]} <= {o_comp}+{fge}"
             )
-        report.o_induced = {k: o_ind}
-        report.o_component = {k: o_comp}
-        report.f_ge = {(k, 1): f[k], (k, 2 * k + 3): fge}
+        report.o_induced, report.o_component = o_ind, o_comp
+        report.f_ge = {1: f[k], 2 * k + 3: fge}
         if k == 1:
             t1, t2, t3 = tree_counts_order5(g)
             if fge > 4 * (t1 + t2 + t3):
@@ -223,13 +229,13 @@ def _run_trial(args: tuple[RegimeSpec, int, int]) -> dict[str, int]:
     spec, master_seed, t = args
     try:
         report = instance_census(spec, RngStream(master_seed, t))
-    except AssertionError as exc:
+    except (AssertionError, RuntimeError) as exc:
         flags = " ".join(
             f"--{name} {value}"
             for name, value in asdict(spec).items()
             if value is not None and name != "field_prime"
         )
-        raise AssertionError(
+        raise type(exc)(
             f"{exc} (master_seed={master_seed}, trial={t}); reproduce with: "
             f"randcomplex census {flags} --seed {master_seed} --stream {t}"
         ) from exc

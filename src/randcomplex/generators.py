@@ -78,8 +78,8 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
 
 def _clique_faces(
     g: Graph, max_dim: int, accept: Callable[[Face], bool] | None = None
-) -> list[list[Face]]:
-    """All cliques of g grouped by dimension, by ordered expansion.
+) -> tuple[tuple[Face, ...], ...]:
+    """All cliques of g grouped by dimension 0..max_dim, by ordered expansion.
 
     An i-face extends only by common neighbors greater than its last vertex,
     so every clique is produced exactly once, in lexicographic order. A face
@@ -87,15 +87,11 @@ def _clique_faces(
     the predicate must be monotone (true on every subface of a face it
     accepts), so that rejected faces need no further extension.
     """
-    faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)]]
-    if max_dim == 0:
-        return faces
+    faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)], list(g.edges())]
     nbrs = g.neighbor_sets
-    faces.append(list(g.edges()))
     for dim in range(2, max_dim + 1):
-        prev = faces[dim - 1]
         cur: list[Face] = []
-        for face in prev:
+        for face in faces[dim - 1]:
             cand = nbrs[face[0]]
             for v in face[1:]:
                 cand = cand & nbrs[v]
@@ -106,27 +102,28 @@ def _clique_faces(
                     if accept is None or accept(new):
                         cur.append(new)
         faces.append(cur)
-        if not cur:
-            faces.extend([] for _ in range(max_dim - dim))
-            break
-    return faces
+    return tuple(tuple(fs) for fs in faces[: max_dim + 1])
+
+
+def _cliques_up_to(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
+    """Unfiltered clique layers 0..max_dim, served from g's deepest expansion."""
+    if g._cliques is None or len(g._cliques) <= max_dim:
+        g._cliques = _clique_faces(g, max_dim)
+    return g._cliques[: max_dim + 1]
 
 
 def clique_complex(g: Graph, max_dim: int) -> SimplicialComplex:
     """The flag complex of g up to the dimension cap: i-faces are (i+1)-cliques."""
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    faces = _clique_faces(g, max_dim)
-    return SimplicialComplex(
-        g.vertex_count, tuple(tuple(fs) for fs in faces), max_dim
-    )
+    return SimplicialComplex(g.vertex_count, _cliques_up_to(g, max_dim), max_dim)
 
 
 def cliques_of_order(g: Graph, m: int) -> list[Face]:
-    """All cliques on exactly m vertices (m >= 1)."""
+    """All cliques on exactly m vertices (m >= 1), in lexicographic order."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _clique_faces(g, m - 1)[m - 1]
+    return list(_cliques_up_to(g, m - 1)[m - 1])
 
 
 def sample_points(n: int, density: DensitySpec, rng: RngStream) -> PointCloud:
@@ -233,6 +230,4 @@ def cech_complex(
     g = geometric_graph(pts, r) if graph is None else graph
     P = pts.points
     faces = _clique_faces(g, max_dim, lambda face: balls_intersect(P[list(face)], r))
-    return SimplicialComplex(
-        g.vertex_count, tuple(tuple(fs) for fs in faces), max_dim
-    )
+    return SimplicialComplex(g.vertex_count, faces, max_dim)

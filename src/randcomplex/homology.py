@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex, components, f_vector, skeleton_graph
+from .complexes import SimplicialComplex, f_vector
 
 DEFAULT_PRIME = 2147483629  # large prime below 2^31, the bound of require_prime_field
 
@@ -212,19 +212,15 @@ def betti_numbers(
 ) -> BettiVector:
     """Betti numbers beta_0..beta_{up_to} over GF(q) by boundary ranks.
 
-    rank d_1 comes from a union-find over the edges, and beta_0 = f_0 -
-    rank d_1 is cross-checked against a BFS component count of the
-    1-skeleton.
+    rank d_1 comes from a union-find over the edges, so beta_0 is its
+    component count. `experiments.instance_census` checks that count
+    against a BFS over the graph the complex was built from
+    (docs/decisions.md, section 5).
     """
     require_prime_field(q)
     betti, ranks = _betti_from_ranks(
         c, up_to, lambda k: _rank_d1(c) if k == 1 else rank_gf(boundary_matrix(c, k), q)
     )
-    comp_count = components(skeleton_graph(c)).count
-    if betti[0] != comp_count:
-        raise RuntimeError(
-            f"beta_0={betti[0]} disagrees with component count {comp_count}"
-        )
     return BettiVector(q, betti, ranks)
 
 

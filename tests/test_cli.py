@@ -78,6 +78,7 @@ def test_invalid_regime_leaves_no_partial_files(tmp_path, capsys):
         ["--model", "er", "--k", 1, "--n", 0, "--gamma", 0.7],
         ["--model", "rips", "--k", 1, "--n", 10, "--alpha", -1],
         ["--model", "rips", "--k", 1, "--n", 10, "--alpha", "inf"],
+        ["--model", "rips", "--k", 40, "--n", 100000, "--alpha", 2],
     ],
 )
 def test_degenerate_scaling_is_a_config_error(tmp_path, capsys, command, regime):
@@ -90,6 +91,17 @@ def test_degenerate_scaling_is_a_config_error(tmp_path, capsys, command, regime)
     assert code == 2
     assert capsys.readouterr().err.startswith("error: config:")
     assert not list(tmp_path.iterdir())
+
+
+def test_huge_explicit_radius_runs_and_warns(tmp_path, capsys):
+    csv, summary = tmp_path / "t.csv", tmp_path / "s.json"
+    code = run_cli(["experiment", "--model", "rips", "--k", 1, "--n", 10, "--r", "1e200",
+                    "--trials", 2, "--seed", 1, "--out-csv", csv, "--out-json", summary])
+    assert code == 0, capsys.readouterr().err
+    payload = json.loads(summary.read_text())
+    assert payload["warnings"] == ["n*r^d=inf not small: outside the sparse regime"]
+    assert payload["aggregates"]["f_1"]["mean"] == 45.0  # the complete graph K10
+    assert csv.read_text().splitlines()[1].startswith("trial,f_0,f_1,f_2,")
 
 
 def test_sweep_rejects_infinite_radius(tmp_path, capsys):

@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 
 from randcomplex import (
+    CensusReport,
+    ComponentDecomposition,
+    Graph,
     RegimeSpec,
     RngStream,
     cli,
     estimate_mu,
     experiments,
+    generators,
+    homology,
     instance_census,
     ks_to_normal,
     run_experiment,
@@ -74,6 +79,7 @@ def test_regime_rejects_unscaled_models():
         (dict(model="rips", k=1, n=10, r=math.nan), "finite"),
         (dict(model="er_clique", k=1, n=10, p=math.inf), "outside"),
         (dict(model="er_clique", k=1, n=10, p=math.nan), "outside"),
+        (dict(model="rips", k=40, n=100_000, alpha=2.0), "float range"),
     ],
 )
 def test_regime_rejects_degenerate_scaling(kwargs, message):
@@ -378,21 +384,22 @@ def test_instance_census_euler_only_when_full_dimension():
 
 
 def test_census_report_validation_catches_violations():
-    from randcomplex import CensusReport
-
-    good = CensusReport(f=(3, 1), betti=(2,), s_empty={3: 2}, s_isolated={3: 1})
+    good = CensusReport(f=(3, 1), betti=(2,), k=3, s_empty=2, s_isolated=1)
     good.validate()
-    bad = CensusReport(f=(3, 1), betti=(2,), s_empty={3: 1}, s_isolated={3: 2})
-    with pytest.raises(ValueError):
+    assert good.to_json_dict() == {
+        "f_0": 3, "f_1": 1, "betti_0": 2, "euler": None, "S_3": 2, "S_iso_3": 1,
+    }
+    bad = CensusReport(f=(3, 1), betti=(2,), k=3, s_empty=1, s_isolated=2)
+    with pytest.raises(ValueError, match="S_iso_3=2 exceeds S_3=1"):
         bad.validate()
-    bad_o = CensusReport(f=(3,), betti=(1,), o_induced={1: 0}, o_component={1: 2})
-    with pytest.raises(ValueError):
+    bad_o = CensusReport(f=(3,), betti=(1,), k=1, o_induced=0, o_component=2)
+    with pytest.raises(ValueError, match="o_comp_1=2 exceeds o_1=0"):
         bad_o.validate()
-    bad_fge = CensusReport(f=(4, 2), betti=(1,), f_ge={(1, 2): 1, (1, 3): 2})
-    with pytest.raises(ValueError):
+    bad_fge = CensusReport(f=(4, 2), betti=(1,), k=1, f_ge={2: 1, 3: 2})
+    with pytest.raises(ValueError, match="increasing"):
         bad_fge.validate()
-    bad_f1 = CensusReport(f=(4, 2), betti=(1,), f_ge={(1, 1): 3})
-    with pytest.raises(ValueError):
+    bad_f1 = CensusReport(f=(4, 2), betti=(1,), k=1, f_ge={1: 3})
+    with pytest.raises(ValueError, match="f_1_ge_1=3 != f_1=2"):
         bad_f1.validate()
 
 
@@ -427,24 +434,31 @@ def test_trial_row_is_projected_instance_census(name):
         assert tuple(row.values()) == res.per_trial[t]
 
 
+_UNION_FIND = homology._rank_d1
+
+
 @pytest.mark.parametrize(
     "name, counter, fake, message",
     [
-        ("er", "f_vector", lambda c: (0,) * (c.max_dim + 1), "Morse violation"),
-        ("cech", "y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
-        ("rips-k1", "cross_polytope_counts", lambda g, k: (10**9, 10**9),
+        ("er", "experiments.f_vector", lambda c: (0,) * (c.max_dim + 1), "Morse violation"),
+        ("cech", "experiments.y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
+        ("rips-k1", "experiments.cross_polytope_counts", lambda g, k: (10**9, 10**9),
          "Rips sandwich violation"),
-        ("rips-k1", "tree_counts_order5", lambda g: (0, 0, 0),
+        ("rips-k1", "experiments.tree_counts_order5", lambda g: (0, 0, 0),
          "tree bound violation"),
-        ("rips-k2", "faces_on_large_components", lambda c, g, k, i: 10**9,
+        ("rips-k2", "experiments.faces_on_large_components", lambda c, g, k, i: 10**9,
          "census inconsistency"),
+        ("er", "homology._rank_d1", lambda c: _UNION_FIND(c) - 1,
+         "beta_0=.* disagrees with component count"),
+        ("cech", "experiments.components", lambda g: ComponentDecomposition((), {}),
+         "beta_0=.* disagrees with component count 0"),
     ],
     ids=["er-morse", "cech-sandwich", "rips-sandwich", "rips-tree-bound",
-         "rips-consistency"],
+         "rips-consistency", "beta0-union-find", "beta0-components"],
 )
 def test_bound_violations_raise(monkeypatch, name, counter, fake, message):
     spec = PIPELINE_SPECS[name]
-    monkeypatch.setattr(experiments, counter, fake)
+    monkeypatch.setattr(f"randcomplex.{counter}", fake)
     with pytest.raises(AssertionError, match=message):
         instance_census(spec, RngStream(31, 0))
     with pytest.raises(AssertionError, match=message):
@@ -469,3 +483,42 @@ def test_violation_names_trial_and_reproducing_census(monkeypatch, capsys):
     census = json.loads(capsys.readouterr().out)["census"]
     clean = run_experiment(spec, 1, 31)
     assert tuple(census[c] for c in clean.columns) == clean.per_trial[0]
+
+
+def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
+    # ranks this large make a Betti number negative inside betti_numbers
+    monkeypatch.setattr(homology, "rank_gf", lambda bm, q=homology.DEFAULT_PRIME: 10**6)
+    with pytest.raises(RuntimeError) as exc:
+        run_experiment(PIPELINE_SPECS["rips-k2"], 2, 31)
+    text = str(exc.value)
+    assert "negative Betti number" in text and "(master_seed=31, trial=0)" in text
+    assert text.split("reproduce with: ", 1)[1].startswith("randcomplex census --model rips")
+    assert text.endswith("--seed 31 --stream 0")
+
+
+@pytest.mark.parametrize("name", ["cech", "rips-k1"])
+def test_trial_builds_each_structure_once(monkeypatch, name):
+    """One BFS, one unfiltered clique expansion and one graph build per trial."""
+    calls = {"bfs": 0, "cliques": 0, "from_edges": 0}
+    decomposition = ComponentDecomposition
+    expand, from_edges = generators._clique_faces, Graph.from_edges
+
+    def counted_decomposition(*args):
+        calls["bfs"] += 1
+        return decomposition(*args)
+
+    def counted_expand(g, max_dim, accept=None):
+        calls["cliques"] += accept is None
+        return expand(g, max_dim, accept)
+
+    def counted_from_edges(vertex_count, edges):
+        calls["from_edges"] += 1
+        return from_edges(vertex_count, edges)
+
+    monkeypatch.setattr("randcomplex.complexes.ComponentDecomposition", counted_decomposition)
+    monkeypatch.setattr(generators, "_clique_faces", counted_expand)
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
+    report = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert calls == {"bfs": 1, "cliques": 1, "from_edges": 1}
+    monkeypatch.undo()
+    assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))

@@ -101,6 +101,19 @@ def test_clique_complex_matches_subset_enumeration():
             assert list(c.faces[dim]) == brute_cliques(g.neighbor_sets, dim + 1)
 
 
+def test_cliques_of_order_in_any_order_matches_subset_enumeration():
+    from oracles import brute_cliques
+    from randcomplex.generators import cliques_of_order
+
+    seeded = gen_er_graph(14, 0.6, RngStream(8))
+    expected = {m: brute_cliques(seeded.neighbor_sets, m) for m in range(1, 9)}
+    assert expected[4] and not expected[8]
+    for orders in (range(1, 9), range(8, 0, -1)):
+        g = Graph(seeded.vertex_count, seeded.adjacency)  # no expansion memoized yet
+        assert {m: cliques_of_order(g, m) for m in orders} == expected
+        assert list(clique_complex(g, 3).faces[3]) == expected[4]
+
+
 def test_sample_points_uniform_bounds_and_mean():
     pc = sample_points(100_000, DensitySpec("uniform_cube", 2), RngStream(12))
     assert pc.density_id == "uniform_cube"

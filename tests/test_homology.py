@@ -24,7 +24,6 @@ from randcomplex import (
     rips_complex,
     sample_points,
 )
-from randcomplex import homology
 from randcomplex.homology import (
     DEFAULT_PRIME,
     _rank_exact,
@@ -297,14 +296,6 @@ def test_rank_d1_degenerate_and_disconnected():
     assert_d1_rank_matches_eliminations(c)
     bv = betti_numbers(c)
     assert bv.betti == (5, 1) and bv.ranks[1] == 7
-
-
-def test_beta0_cross_check_catches_wrong_d1_rank(monkeypatch):
-    union_find = homology._rank_d1
-    monkeypatch.setattr(homology, "_rank_d1", lambda c: union_find(c) + 1)
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    with pytest.raises(RuntimeError, match="disagrees with component count"):
-        betti_numbers(clique_complex(g, 2))
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 2**61 - 1, -7, 2.0, True, 2**31 + 11])
