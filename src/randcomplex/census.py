@@ -202,18 +202,22 @@ def empty_simplex_count(
         return n * (n - 1) // 2 - g.edge_count
     count = 0
     for S in cliques_of_order(g, k):
-        if _is_empty_clique(pts.points, S, r, k):
+        if _is_empty_clique(pts.points[list(S)], r, r):
             count += 1
     return count
 
 
-def _is_empty_clique(P: np.ndarray, S, r: float, k: int) -> bool:
-    """Emptiness test for a k-set already known to be a clique of the 2r-graph."""
-    pts = P[list(S)]
-    if balls_intersect(pts, r):
+def _is_empty_clique(pts: np.ndarray, r: float, full_r: float) -> bool:
+    """Emptiness test for points already known to be a clique of the 2r-graph.
+
+    True when the radius-`full_r` balls about all the points share no point
+    while the radius-r balls about every facet of three or more points do;
+    facets of two points are edges of the clique and need no test.
+    """
+    if balls_intersect(pts, full_r):
         return False
-    if k - 1 >= 3:
-        for omit in range(k):
+    if len(pts) - 1 >= 3:
+        for omit in range(len(pts)):
             if not balls_intersect(np.delete(pts, omit, axis=0), r):
                 return False
     return True
@@ -237,7 +241,7 @@ def isolated_empty_simplex_count(
         sset = set(S)
         if any(not nbrs[v] <= sset for v in S):
             continue
-        if _is_empty_clique(pts.points, S, r, k):
+        if _is_empty_clique(pts.points[list(S)], r, r):
             count += 1
     return count
 
@@ -412,18 +416,7 @@ def connected_subsets(g: Graph, size: int):
 
 
 def _is_connected_pattern(p: CanonicalGraph) -> bool:
-    if p.vertex_count <= 1:
-        return True
-    adj = p.adjacency_sets()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == p.vertex_count
+    return components(Graph.from_edges(p.vertex_count, p.edges)).count <= 1
 
 
 def _bfs_order(pat_adj: list[set[int]]) -> list[int]:
@@ -459,14 +452,14 @@ def subgraph_counts(
 
     Candidate vertex sets are enumerated connectedly when the pattern is
     connected, with a degree-sequence pre-filter; otherwise all subsets are
-    scanned. Non-induced copies on a vertex set are counted as injective
-    edge-preserving maps divided by the pattern's automorphisms.
+    scanned. Copies on a vertex set are counted as injective edge-preserving
+    maps divided by the pattern's automorphisms; a map onto a vertex set of
+    the pattern's size is a bijection, so it is an induced copy exactly when
+    the vertex set spans as many edges as the pattern.
     """
     for p in patterns:
         if p.vertex_count > MAX_CANONICAL_VERTICES:
             raise ValueError("pattern too large")
-    # hand-built patterns may not be in canonical form yet
-    patterns = [canonical_form(p.vertex_count, p.edges) for p in patterns]
     counts = [0] * len(patterns)
     nbrs = g.neighbor_sets
     by_size: dict[int, list[int]] = {}
@@ -521,58 +514,37 @@ def _count_maps_bitmask(earlier, tadj_masks) -> int:
 
 
 def _census_fixed_size(g, nbrs, patterns, idxs, size, induced, counts, connected_only):
-    pat_degs = {
-        i: tuple(sorted(len(s) for s in patterns[i].adjacency_sets())) for i in idxs
-    }
-    canon = {i: patterns[i] for i in idxs}
     prepared = {i: _prepare_pattern(patterns[i]) for i in idxs}
-    auts = {i: automorphism_count(patterns[i]) for i in idxs}
     subsets = (
         connected_subsets(g, size)
         if connected_only
         else combinations(range(g.vertex_count), size)
     )
-    raw = {i: 0 for i in idxs}
+    maps = {i: 0 for i in idxs}
     for subset in subsets:
         sset = set(subset)
         tgt_adj = {v: nbrs[v] & sset for v in subset}
-        degs = tuple(sorted(len(tgt_adj[v]) for v in subset))
-        if induced:
-            matching = [i for i in idxs if pat_degs[i] == degs]
-            if not matching:
+        degs_desc = sorted((len(tgt_adj[v]) for v in subset), reverse=True)
+        masks = None
+        for i in idxs:
+            earlier, pat_desc = prepared[i]
+            # an induced copy spans exactly the pattern's edges
+            if induced and sum(degs_desc) != sum(pat_desc):
                 continue
-            form = canonical_form(size, _relabeled_edges(subset, tgt_adj))
-            for i in matching:
-                if canon[i].edges == form.edges and canon[i].vertex_count == size:
-                    raw[i] += 1
-        else:
-            degs_desc = degs[::-1]
-            masks = None
-            for i in idxs:
-                earlier, pat_desc = prepared[i]
-                # induced degrees must dominate the pattern degree sequence
-                if any(td < pd for td, pd in zip(degs_desc, pat_desc)):
-                    continue
-                if masks is None:
-                    index = {v: b for b, v in enumerate(subset)}
-                    masks = [
-                        sum(1 << index[w] for w in tgt_adj[v]) for v in subset
-                    ]
-                raw[i] += _count_maps_bitmask(earlier, masks)
+            # induced degrees must dominate the pattern degree sequence
+            if any(td < pd for td, pd in zip(degs_desc, pat_desc)):
+                continue
+            if masks is None:
+                index = {v: b for b, v in enumerate(subset)}
+                masks = [
+                    sum(1 << index[w] for w in tgt_adj[v]) for v in subset
+                ]
+            maps[i] += _count_maps_bitmask(earlier, masks)
     for i in idxs:
-        if induced:
-            counts[i] = raw[i]
-        else:
-            if raw[i] % auts[i]:
-                raise RuntimeError("map count not divisible by automorphism count")
-            counts[i] = raw[i] // auts[i]
-
-
-def _relabeled_edges(subset, tgt_adj):
-    pos = {v: i for i, v in enumerate(subset)}
-    return [
-        (pos[u], pos[v]) for u in subset for v in tgt_adj[u] if pos[u] < pos[v]
-    ]
+        aut = automorphism_count(patterns[i])
+        if maps[i] % aut:
+            raise RuntimeError("map count not divisible by automorphism count")
+        counts[i] = maps[i] // aut
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +695,7 @@ def estimate_mu(
         if k == 3:
             hits += _hits_k3(Y, rho)
         else:
-            hits += _hits_general(Y, k, rho)
+            hits += _hits_general(Y, rho)
         done += m
         block += 1
     vol = (unit_ball_volume(d) * 2.0**d) ** (k - 1)
@@ -741,7 +713,7 @@ def _hits_k3(Y: np.ndarray, rho: float) -> int:
     return int(np.count_nonzero(pair_ok & empty))
 
 
-def _hits_general(Y: np.ndarray, k: int, rho: float) -> int:
+def _hits_general(Y: np.ndarray, rho: float) -> int:
     hits = 0
     origin = np.zeros((1, Y.shape[2]))
     for row in Y:
@@ -749,9 +721,7 @@ def _hits_general(Y: np.ndarray, k: int, rho: float) -> int:
         diffs = pts[:, None, :] - pts[None, :, :]
         if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0):
             continue
-        if balls_intersect(pts, rho):
-            continue
-        if all(balls_intersect(np.delete(pts, omit, axis=0), 1.0) for omit in range(k)):
+        if _is_empty_clique(pts, 1.0, rho):
             hits += 1
     return hits
 

@@ -37,9 +37,17 @@ from .generators import (
     geometric_graph,
     sample_points,
 )
-from .homology import DEFAULT_PRIME, betti_numbers, require_prime_field
+from .homology import DEFAULT_PRIME, betti_numbers, euler_characteristic, require_prime_field
 
 MODELS = ("er_clique", "cech", "rips")
+
+
+def _scaling(n_power: int, r: float, r_exponent: int) -> float:
+    """n_power * r**r_exponent, read as infinity when a huge r overflows the float range."""
+    try:
+        return n_power * r**r_exponent
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,7 @@ class RegimeSpec:
                     f"p={p:.6g} >= n^(-1/(k+1)): above the CLT regime upper edge"
                 )
         if self.model in ("cech", "rips"):
-            try:
-                density_mass = self.n * self.resolve_r() ** self.d
-            except OverflowError:  # a huge explicit r
-                density_mass = math.inf
+            density_mass = _scaling(self.n, self.resolve_r(), self.d)
             if density_mass > 0.5:
                 notes.append(
                     f"n*r^d={density_mass:.4g} not small: outside the sparse regime"
@@ -216,7 +221,7 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
                 )
             report.trees = (t1, t2, t3)
     if f[-1] == 0:
-        report.euler = sum((-1) ** i * v for i, v in enumerate(f))
+        report.euler = euler_characteristic(c)
     try:
         report.validate()  # S_iso <= S, o_comp <= o and the f_ge ordering
     except ValueError as exc:
@@ -484,7 +489,7 @@ def theorem_targets(
             if rng is None:
                 raise ValueError("need mu_estimate or an RngStream to estimate mu")
             mu_estimate = estimate_mu(spec.k, spec.d, mu_samples, rng)
-        scaling = spec.n**spec.k * r ** (spec.d * (spec.k - 1))
+        scaling = _scaling(spec.n**spec.k, r, spec.d * (spec.k - 1))
         factor = (
             scaling
             * density_power_integral(spec.density, spec.d, spec.k)
@@ -494,8 +499,10 @@ def theorem_targets(
             "scaling": scaling,
             "mu": mu_estimate.value,
             "mu_std_error": mu_estimate.std_error,
-            "expected_isolated_empty": factor * mu_estimate.value,
-            "expected_isolated_empty_std_error": factor * mu_estimate.std_error,
+            # an estimate of exactly 0 stays 0 under an infinite scaling, never NaN
+            "expected_isolated_empty": factor * mu_estimate.value if mu_estimate.value else 0.0,
+            "expected_isolated_empty_std_error": (
+                factor * mu_estimate.std_error if mu_estimate.std_error else 0.0
+            ),
         }
-    scaling = spec.n ** (2 * spec.k + 2) * r ** (spec.d * (2 * spec.k + 1))
-    return {"scaling": scaling}
+    return {"scaling": _scaling(spec.n ** (2 * spec.k + 2), r, spec.d * (2 * spec.k + 1))}

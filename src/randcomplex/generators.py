@@ -7,7 +7,6 @@ bit-identical instances.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,16 +75,11 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
     return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
 
 
-def _clique_faces(
-    g: Graph, max_dim: int, accept: Callable[[Face], bool] | None = None
-) -> tuple[tuple[Face, ...], ...]:
+def _clique_faces(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
     """All cliques of g grouped by dimension 0..max_dim, by ordered expansion.
 
     An i-face extends only by common neighbors greater than its last vertex,
-    so every clique is produced exactly once, in lexicographic order. A face
-    of dimension >= 2 is kept only if `accept` (when given) holds for it;
-    the predicate must be monotone (true on every subface of a face it
-    accepts), so that rejected faces need no further extension.
+    so every clique is produced exactly once, in lexicographic order.
     """
     faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)], list(g.edges())]
     nbrs = g.neighbor_sets
@@ -98,9 +92,7 @@ def _clique_faces(
             last = face[-1]
             for w in sorted(cand):
                 if w > last:
-                    new = face + (w,)
-                    if accept is None or accept(new):
-                        cur.append(new)
+                    cur.append(face + (w,))
         faces.append(cur)
     return tuple(tuple(fs) for fs in faces[: max_dim + 1])
 
@@ -221,13 +213,20 @@ def cech_complex(
 
     The 1-skeleton equals the geometric graph at scale r (two r-balls meet
     iff centers are <= 2r apart); higher faces are cliques of that graph
-    whose full ball intersection is nonempty. Monotonicity of intersection
-    makes the ordered clique expansion exhaustive. Pass `graph` to reuse a
-    geometric graph already built at the same scale.
+    whose full ball intersection is nonempty. The cliques come from g's
+    memoized expansion; a clique is kept when its prefix face was kept and
+    its balls meet, which by monotonicity of intersection finds every face.
+    Pass `graph` to reuse a geometric graph already built at the same scale.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
     g = geometric_graph(pts, r) if graph is None else graph
     P = pts.points
-    faces = _clique_faces(g, max_dim, lambda face: balls_intersect(P[list(face)], r))
-    return SimplicialComplex(g.vertex_count, faces, max_dim)
+    cliques = _cliques_up_to(g, max_dim)
+    faces = list(cliques[:2])
+    for layer in cliques[2:]:
+        kept = set(faces[-1])
+        faces.append(
+            tuple(f for f in layer if f[:-1] in kept and balls_intersect(P[list(f)], r))
+        )
+    return SimplicialComplex(g.vertex_count, tuple(faces), max_dim)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from randcomplex import (
+    CanonicalGraph,
     DensitySpec,
     Graph,
     PointCloud,
@@ -379,6 +380,8 @@ def test_subgraph_counts_match_brute_force():
         canonical_form(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
         canonical_form(3, [(0, 1), (1, 2)]),
         canonical_form(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
+        canonical_form(4, [(0, 1), (2, 3)]),  # 2K2: disconnected, scans all subsets
+        CanonicalGraph(4, ((2, 3), (0, 2), (1, 2))),  # hand-built, not canonical
     ]
     for _ in range(20):
         n = int(gen.integers(4, 9))

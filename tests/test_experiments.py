@@ -14,6 +14,7 @@ from randcomplex import (
     CensusReport,
     ComponentDecomposition,
     Graph,
+    MuEstimate,
     RegimeSpec,
     RngStream,
     cli,
@@ -310,6 +311,18 @@ def test_rips_targets_scaling():
     assert targets["scaling"] == pytest.approx(2.0, rel=1e-9)
 
 
+def test_targets_read_an_overflowing_scaling_as_infinity():
+    rips = RegimeSpec(model="rips", k=1, n=10, r=1e200)
+    assert theorem_targets(rips) == {"scaling": math.inf}
+    cech = RegimeSpec(model="cech", k=3, n=10, r=1e200)
+    big = theorem_targets(cech, mu_estimate=MuEstimate(0.7, 0.01, 1000, 50))
+    assert big["scaling"] == big["expected_isolated_empty"] == math.inf
+    assert big["expected_isolated_empty_std_error"] == math.inf
+    # a vanishing estimate stays 0 under the infinite scaling, never NaN
+    zero = theorem_targets(cech, mu_estimate=MuEstimate(0.0, 0.0, 1000, 0))
+    assert zero["expected_isolated_empty"] == zero["expected_isolated_empty_std_error"] == 0.0
+
+
 def test_density_power_integral_values():
     assert density_power_integral("uniform_cube", 3, 4) == 1.0
     # one-dimensional gaussian: int phi^2 = 1/(2 sqrt(pi))
@@ -498,7 +511,7 @@ def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
 
 @pytest.mark.parametrize("name", ["cech", "rips-k1"])
 def test_trial_builds_each_structure_once(monkeypatch, name):
-    """One BFS, one unfiltered clique expansion and one graph build per trial."""
+    """One BFS, one clique expansion and one graph build per trial."""
     calls = {"bfs": 0, "cliques": 0, "from_edges": 0}
     decomposition = ComponentDecomposition
     expand, from_edges = generators._clique_faces, Graph.from_edges
@@ -507,9 +520,9 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
         calls["bfs"] += 1
         return decomposition(*args)
 
-    def counted_expand(g, max_dim, accept=None):
-        calls["cliques"] += accept is None
-        return expand(g, max_dim, accept)
+    def counted_expand(*args):
+        calls["cliques"] += 1
+        return expand(*args)
 
     def counted_from_edges(vertex_count, edges):
         calls["from_edges"] += 1

@@ -228,6 +228,25 @@ def test_cech_faces_match_ball_intersection_definition():
         assert list(c.faces[dim]) == expected
 
 
+def test_cech_complex_reads_the_clique_memo_without_changing_it():
+    from randcomplex.generators import cliques_of_order
+
+    filtered = False
+    for seed in range(4):
+        pc = sample_points(150, DensitySpec("uniform_cube", 2), RngStream(83, seed))
+        r = 0.07
+        fresh = cech_complex(pc, r, 3)
+        deeper = geometric_graph(pc, r)
+        cliques_of_order(deeper, 5)  # memo deeper than the complex needs
+        assert cech_complex(pc, r, 3, graph=deeper) == fresh
+        g = geometric_graph(pc, r)
+        assert cech_complex(pc, r, 3, graph=g) == fresh
+        # the ball filter must leave the unfiltered cliques in the memo
+        assert clique_complex(g, 3) == clique_complex(geometric_graph(pc, r), 3)
+        filtered |= clique_complex(g, 3) != fresh
+    assert filtered  # some clique was rejected by the ball test
+
+
 def test_geometric_determinism_across_runs():
     a = sample_points(64, DensitySpec("gaussian", 2), RngStream(99, 3))
     b = sample_points(64, DensitySpec("gaussian", 2), RngStream(99, 3))
