@@ -495,6 +495,19 @@ def theorem_targets(
             * density_power_integral(spec.density, spec.d, spec.k)
             / math.factorial(spec.k)
         )
+        if not math.isfinite(factor):
+            # an overflowing scaling times a gaussian factor that underflowed to
+            # 0.0 is NaN; in log space the factor is the d-th power of its d=1 value
+            log_factor = (
+                spec.k * math.log(spec.n)
+                + spec.d * (spec.k - 1) * math.log(r)
+                + spec.d * math.log(density_power_integral(spec.density, 1, spec.k))
+                - math.lgamma(spec.k + 1)
+            )
+            try:
+                factor = math.exp(log_factor)
+            except OverflowError:
+                factor = math.inf
         return {
             "scaling": scaling,
             "mu": mu_estimate.value,

@@ -65,13 +65,8 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
         raise ValueError(f"p={p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n < 2 or p == 0.0:
-        return Graph.from_edges(n, [])
     iu, iv = np.triu_indices(n, k=1)
-    if p == 1.0:
-        mask = np.ones(iu.size, dtype=bool)
-    else:
-        mask = rng.generator().random(iu.size) < p
+    mask = rng.generator().random(iu.size) < p
     return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
 
 
@@ -130,63 +125,36 @@ def sample_points(n: int, density: DensitySpec, rng: RngStream) -> PointCloud:
     return PointCloud(density.dimension, pts, density.kind)
 
 
-def _cell_offsets(d: int) -> list[tuple[int, ...]]:
-    """Half of the 3^d - 1 neighbor offsets: first nonzero coordinate positive."""
-    offsets = []
-    grid = np.indices((3,) * d).reshape(d, -1).T - 1
-    for off in map(tuple, grid):
-        for x in off:
-            if x > 0:
-                offsets.append(off)
-                break
-            if x < 0:
-                break
-    return offsets
-
-
 def geometric_graph(pts: PointCloud, r: float) -> Graph:
-    """Edge {i,j} iff |X_i - X_j| <= 2r (closed rule), via a spatial grid.
+    """Edge {i,j} iff |X_i - X_j| <= 2r (closed rule), by a sort-and-sweep.
 
-    Cells have width 2r, so only same-cell and adjacent-cell pairs need a
-    distance test; expected work is near-linear in the sparse regime.
+    The points are sorted by their first coordinate, and each one is tested
+    only against the later points of its x-window. The test sums the squared
+    coordinate differences in float64 from 0.0, one coordinate at a time, and
+    keeps the pair when the sum is <= (2r)^2. The window is padded past the
+    largest x-gap that test can accept, so it never drops a kept pair
+    (docs/decisions.md, section 7). Expected work is near-linear in the sparse
+    regime and the code is the same for every n and d.
     """
     if r <= 0:
         raise ValueError("r must be positive")
     P = pts.points
     n = P.shape[0]
-    if n <= 1:
-        return Graph.from_edges(n, [])
-    width = 2.0 * r
-    limit_sq = width * width
-    cells = np.floor(P / width).astype(np.int64)
-    buckets: dict[tuple[int, ...], list[int]] = {}
-    for i, key in enumerate(map(tuple, cells.tolist())):
-        buckets.setdefault(key, []).append(i)
-    coords = P.tolist()
+    order = np.argsort(P[:, 0], kind="stable")
+    Q = P[order]
+    limit_sq = (2.0 * r) * (2.0 * r)
+    reach = np.sqrt(np.nextafter(limit_sq, np.inf)) * (1.0 + 1e-9)
+    ends = np.searchsorted(Q[:, 0], Q[:, 0] + reach, side="right")
+    span = ends - np.arange(n)
     edges: list[tuple[int, int]] = []
-
-    def _close(u: int, v: int) -> bool:
-        s = 0.0
-        for a, b in zip(coords[u], coords[v]):
-            s += (a - b) * (a - b)
-        return s <= limit_sq
-
-    offsets = _cell_offsets(pts.dimension)
-    for key, idxs in buckets.items():
-        m = len(idxs)
-        for ia in range(m):
-            u = idxs[ia]
-            for ib in range(ia + 1, m):
-                v = idxs[ib]
-                if _close(u, v):
-                    edges.append((u, v) if u < v else (v, u))
-        for off in offsets:
-            nb = buckets.get(tuple(k + o for k, o in zip(key, off)))
-            if nb:
-                for u in idxs:
-                    for v in nb:
-                        if _close(u, v):
-                            edges.append((u, v) if u < v else (v, u))
+    for s in range(1, int(np.max(span, initial=1))):
+        i = np.flatnonzero(span > s)
+        dist_sq = np.zeros(i.size)
+        for c in range(pts.dimension):
+            diff = Q[i + s, c] - Q[i, c]
+            dist_sq += diff * diff
+        kept = i[dist_sq <= limit_sq]
+        edges.extend(zip(order[kept].tolist(), order[kept + s].tolist()))
     return Graph.from_edges(n, edges)
 
 

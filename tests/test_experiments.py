@@ -312,6 +312,8 @@ def test_rips_targets_scaling():
 
 
 def test_targets_read_an_overflowing_scaling_as_infinity():
+    import mpmath
+
     rips = RegimeSpec(model="rips", k=1, n=10, r=1e200)
     assert theorem_targets(rips) == {"scaling": math.inf}
     cech = RegimeSpec(model="cech", k=3, n=10, r=1e200)
@@ -321,6 +323,16 @@ def test_targets_read_an_overflowing_scaling_as_infinity():
     # a vanishing estimate stays 0 under the infinite scaling, never NaN
     zero = theorem_targets(cech, mu_estimate=MuEstimate(0.0, 0.0, 1000, 0))
     assert zero["expected_isolated_empty"] == zero["expected_isolated_empty_std_error"] == 0.0
+    # the scaling overflows while the gaussian factor underflows to 0.0
+    mu = MuEstimate(0.7, 0.01, 1000, 50)
+    for r in (1e200, 4.0):
+        wide = RegimeSpec(model="cech", k=3, n=10, d=400, r=r, density="gaussian")
+        got = theorem_targets(wide, mu_estimate=mu)["expected_isolated_empty"]
+        exact = (
+            mpmath.mpf(10) ** 3 * mpmath.mpf(r) ** 800 * 0.7
+            / ((2 * mpmath.pi) ** 400 * mpmath.mpf(3) ** 200 * 6)
+        )
+        assert got == (math.inf if exact > 1e308 else pytest.approx(float(exact), rel=1e-9))
 
 
 def test_density_power_integral_values():

@@ -29,6 +29,9 @@ def test_er_p_zero_and_one():
     assert gen_er_graph(8, 0.0, RngStream(1)).edge_count == 0
     g = gen_er_graph(8, 1.0, RngStream(1))
     assert g.edge_count == 28
+    for n in (0, 1):
+        for p in (0.0, 0.5, 1.0):
+            assert gen_er_graph(n, p, RngStream(1)) == Graph.from_edges(n, [])
 
 
 def test_er_rejects_bad_p():
@@ -144,13 +147,36 @@ def test_geometric_graph_rejects_nonpositive_radius():
 
 def test_geometric_graph_matches_all_pairs_oracle():
     gen = RngStream(42).generator()
-    P = gen.random((500, 2))
-    g = geometric_graph(PointCloud(2, P), 0.05)
-    d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
-    brute = {
-        (i, j) for i in range(500) for j in range(i + 1, 500) if d2[i, j] <= 0.01
-    }
-    assert set(g.edges()) == brute
+    uniform = gen.random((500, 2))
+    ties = gen.random((300, 2))
+    ties[:, 0] = np.round(ties[:, 0], 1)  # many points share one x coordinate
+    # dyadic lattice at spacing 1/8 with 2r = 5/8: pairs exactly 2r apart along
+    # x (5, 0), along y (0, 5) and diagonally (3, 4), all squared exactly
+    lattice = np.indices((9, 9)).reshape(2, -1).T / 8.0
+    cases = [
+        (uniform, 0.05),
+        (np.empty((0, 2)), 0.05),
+        (np.array([[0.3, 0.4]]), 0.05),
+        (gen.random((400, 1)), 0.002),  # d = 1
+        (ties, 0.03),
+        # (0, 1) is kept: its squared distance underflows to 0.0 <= (2r)^2 = 0.0
+        (np.array([[0.0, 0.0], [1e-163, 0.0], [3e-161, 0.0]]), 1e-170),
+        (lattice, 5.0 / 16.0),
+    ]
+    for P, r in cases:
+        n, d = P.shape
+        g = geometric_graph(PointCloud(d, P), r)
+        d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
+        brute = {
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if d2[i, j] <= (2.0 * r) * (2.0 * r)
+        }
+        assert g.vertex_count == n
+        assert set(g.edges()) == brute
+    # the closed rule keeps lattice pairs exactly 2r apart: (5,0), (0,5), (3,4), (4,3)
+    assert {(0, 45), (0, 5), (0, 31), (0, 39)} <= brute
 
 
 def test_geometric_graph_gaussian_cloud_matches_oracle():
