@@ -8,7 +8,6 @@ every downstream count is deterministic.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +34,36 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> Graph:
-        """Build a graph from an iterable of (u, v) pairs; duplicates collapse."""
-        nbrs: list[set[int]] = [set() for _ in range(vertex_count)]
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(vertex_count, tuple(tuple(sorted(s)) for s in nbrs))
+        """Build a graph from an (m, 2) int array or an iterable of (u, v) pairs.
+
+        Reversed and repeated pairs collapse to one edge. The pairs are checked
+        all at once: a self-loop or out-of-range vertex raises ValueError naming
+        the first such pair, and non-integer vertices raise TypeError. Both
+        directions are packed as u*n + v keys, sorted, and deduplicated, and
+        the sorted neighbours are cut into rows at the `searchsorted` offsets
+        (docs/decisions.md, section 8).
+        """
+        n = vertex_count
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if e.size == 0:
+            e = np.empty((0, 2), dtype=np.int64)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {e.shape}")
+        if e.dtype.kind not in "iu":
+            raise TypeError(f"edge vertices must be integers, got dtype {e.dtype}")
+        e = e.astype(np.int64, copy=False)
+        u, v = e[:, 0], e[:, 1]
+        bad = np.flatnonzero((u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n))
+        if bad.size:
+            a, b = int(u[bad[0]]), int(v[bad[0]])
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"edge ({a},{b}) out of range")
+        key = np.sort(np.concatenate((u * n + v, v * n + u)), kind="stable")
+        key = key[np.diff(key, prepend=-1) != 0]
+        rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+        nbrs = (key % n).tolist()
+        return cls(n, tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:])))
 
     @property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -227,17 +246,14 @@ def components(g: Graph) -> ComponentDecomposition:
     for start in range(n):
         if label[start] >= 0:
             continue
-        queue = deque([start])
         label[start] = start
-        size = 0
-        while queue:
-            u = queue.popleft()
-            size += 1
+        reached = [start]
+        for u in reached:
             for v in g.adjacency[u]:
                 if label[v] < 0:
                     label[v] = start
-                    queue.append(v)
-        sizes[start] = size
+                    reached.append(v)
+        sizes[start] = len(reached)
     g._components = ComponentDecomposition(tuple(label), sizes)
     return g._components
 

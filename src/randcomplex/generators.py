@@ -60,14 +60,21 @@ class DensitySpec:
 
 
 def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
-    """G(n, p): each of the C(n,2) edges present independently with probability p."""
+    """G(n, p): each of the C(n,2) edges present independently with probability p.
+
+    One uniform draw per pair u < v, in row-major (`triu_indices`) order; the
+    kept pair indices are decoded to (u, v) arithmetically, with row u starting
+    at u*n - u(u+1)/2 (docs/decisions.md, section 8).
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
     if n < 0:
         raise ValueError("n must be non-negative")
-    iu, iv = np.triu_indices(n, k=1)
-    mask = rng.generator().random(iu.size) < p
-    return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
+    idx = np.flatnonzero(rng.generator().random(n * (n - 1) // 2) < p)
+    rows = np.arange(n)
+    starts = rows * n - rows * (rows + 1) // 2
+    u = np.searchsorted(starts, idx, side="right") - 1
+    return Graph.from_edges(n, np.column_stack((u, idx - starts[u] + u + 1)))
 
 
 def _clique_faces(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
@@ -146,7 +153,7 @@ def geometric_graph(pts: PointCloud, r: float) -> Graph:
     reach = np.sqrt(np.nextafter(limit_sq, np.inf)) * (1.0 + 1e-9)
     ends = np.searchsorted(Q[:, 0], Q[:, 0] + reach, side="right")
     span = ends - np.arange(n)
-    edges: list[tuple[int, int]] = []
+    us, vs = [order[:0]], [order[:0]]  # never empty, also when no offset is tested
     for s in range(1, int(np.max(span, initial=1))):
         i = np.flatnonzero(span > s)
         dist_sq = np.zeros(i.size)
@@ -154,8 +161,9 @@ def geometric_graph(pts: PointCloud, r: float) -> Graph:
             diff = Q[i + s, c] - Q[i, c]
             dist_sq += diff * diff
         kept = i[dist_sq <= limit_sq]
-        edges.extend(zip(order[kept].tolist(), order[kept + s].tolist()))
-    return Graph.from_edges(n, edges)
+        us.append(order[kept])
+        vs.append(order[kept + s])
+    return Graph.from_edges(n, np.column_stack((np.concatenate(us), np.concatenate(vs))))
 
 
 def rips_complex(pts: PointCloud, r: float, max_dim: int) -> SimplicialComplex:

@@ -12,6 +12,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from randcomplex import Graph
+
 
 # ---------------------------------------------------------------------------
 # Smallest enclosing ball by exhaustive support-subset search
@@ -107,6 +109,26 @@ def brute_components(n: int, edges) -> list[set[int]]:
     for v in range(n):
         groups.setdefault(find(v), set()).add(v)
     return list(groups.values())
+
+
+def er_graph_by_triu(n: int, p: float, rng):
+    """G(n, p) by the `triu_indices` mask: the slow path of `gen_er_graph`.
+
+    One uniform draw per pair, in row-major upper-triangle order, so it must
+    give the same graph as the arithmetic pair decode for every seed.
+    """
+    iu, iv = np.triu_indices(n, k=1)
+    mask = rng.generator().random(iu.size) < p
+    return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
+
+
+def brute_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples of the simple graph on the given pairs, by sets."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs)
 
 
 def brute_cliques(adj_sets, size: int) -> list[tuple[int, ...]]:

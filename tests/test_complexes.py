@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from randcomplex import (
@@ -18,7 +19,7 @@ from randcomplex import (
     skeleton_graph,
 )
 
-from oracles import brute_components
+from oracles import brute_adjacency, brute_components
 
 
 def test_components_two_disjoint_edges():
@@ -98,6 +99,50 @@ def test_graph_validation():
     with pytest.raises(ValueError):
         g.validate()  # asymmetric
     Graph.from_edges(3, [(0, 1), (1, 0)]).validate()  # duplicates collapse
+
+
+def test_from_edges_reads_every_input_form_alike():
+    pairs = [(0, 3), (3, 0), (1, 2), (1, 2), (4, 1), (0, 3), (2, 0)]
+    expected = Graph(5, brute_adjacency(5, pairs))
+    forms = [pairs, (e for e in pairs), tuple(pairs), np.array(pairs), np.array(pairs, np.int32)]
+    for edges in forms:
+        assert Graph.from_edges(5, edges) == expected
+    for n in (0, 4):
+        for edges in ([], (), iter(()), np.empty((0, 2), dtype=np.int64)):
+            assert Graph.from_edges(n, edges) == Graph(n, ((),) * n)
+    with pytest.raises(ValueError, match="out of range"):
+        Graph.from_edges(0, [(0, 1)])
+    gen = RngStream(32).generator()
+    for _ in range(40):
+        n = int(gen.integers(2, 30))
+        edges = [tuple(e) for e in gen.integers(0, n, size=(int(gen.integers(0, 80)), 2))]
+        edges = [(u, v) for u, v in edges if u != v]
+        g = Graph.from_edges(n, edges)
+        g.validate()
+        assert g.adjacency == brute_adjacency(n, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, 1), (5, 5)], "self-loop at vertex 5"),
+        ([(0, 1), (-1, 2)], r"edge \(-1,2\) out of range"),
+        ([(0, 1), (1, 3), (2, 2)], r"edge \(1,3\) out of range"),
+        (np.array([[0, 1], [2, 0], [0, 4]]), r"edge \(0,4\) out of range"),
+        ([(0, 1, 2), (1, 2, 0)], r"\(u, v\) pairs"),
+        (np.array([0, 1]), r"\(u, v\) pairs"),
+    ],
+)
+def test_from_edges_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges", [[(0.5, 1)], [(0, 1.0)], [("0", 1)], np.zeros((1, 2))])
+def test_from_edges_never_truncates_or_parses_vertices(edges):
+    with pytest.raises(TypeError, match="integers"):
+        Graph.from_edges(3, edges)
 
 
 def test_complex_validation_rejects_missing_subface():

@@ -22,6 +22,8 @@ from randcomplex import (
     sample_points,
 )
 
+from oracles import er_graph_by_triu
+
 EQUILATERAL = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)]])
 
 
@@ -32,6 +34,14 @@ def test_er_p_zero_and_one():
     for n in (0, 1):
         for p in (0.0, 0.5, 1.0):
             assert gen_er_graph(n, p, RngStream(1)) == Graph.from_edges(n, [])
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 400])
+def test_er_pair_decode_matches_triu_oracle(n):
+    for p in (0.0, 0.015, 0.5, 1.0):
+        for seed in range(5):
+            rng = RngStream(seed, n)
+            assert gen_er_graph(n, p, rng) == er_graph_by_triu(n, p, rng)
 
 
 def test_er_rejects_bad_p():
