@@ -679,6 +679,8 @@ def estimate_mu(
     """
     if k < 3:
         raise ValueError("k must be >= 3")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rho = full_intersection_radius

@@ -148,10 +148,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid = [float(tok) for tok in args.grid.split(",") if tok.strip()]
         if not grid:
             raise ValueError("empty parameter grid")
+        if "model" not in cfg:
+            raise ValueError("missing required parameter --model")
         model = cfg["model"]
         if model == "cech":
             raise ValueError("sweep supports the er and rips models")
         max_k = args.max_k
+        if max_k < 0:
+            raise ValueError(f"--max-k must be >= 0, got {max_k}")
         cfg["k"] = max(cfg.get("k") or 0, max_k, 1 if model == "rips" else 0)
         rows = []
         for value in grid:

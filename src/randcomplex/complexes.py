@@ -18,8 +18,10 @@ Face = tuple[int, ...]
 class Graph:
     """Undirected simple graph on vertices 0..n-1 with sorted adjacency."""
 
-    # immutable, so neighbour sets, components and cliques are memos built on first use
-    __slots__ = ("vertex_count", "adjacency", "_neighbor_sets", "_components", "_cliques")
+    # immutable, so edge keys, neighbour sets, components and cliques are memos built on first use
+    __slots__ = (
+        "vertex_count", "adjacency", "_edge_keys", "_neighbor_sets", "_components", "_cliques"
+    )
 
     def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]):
         if vertex_count < 0:
@@ -28,6 +30,7 @@ class Graph:
             raise ValueError("adjacency length must equal vertex_count")
         self.vertex_count = vertex_count
         self.adjacency = adjacency
+        self._edge_keys: np.ndarray | None = None
         self._neighbor_sets: tuple[frozenset[int], ...] | None = None
         self._components: ComponentDecomposition | None = None
         self._cliques: tuple[tuple[Face, ...], ...] | None = None
@@ -41,7 +44,7 @@ class Graph:
         the first such pair, and non-integer vertices raise TypeError. Both
         directions are packed as u*n + v keys, sorted, and deduplicated, and
         the sorted neighbours are cut into rows at the `searchsorted` offsets
-        (docs/decisions.md, section 8).
+        (docs/decisions.md, section 8). The keys are kept as the `edge_keys` memo.
         """
         n = vertex_count
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -63,7 +66,22 @@ class Graph:
         key = key[np.diff(key, prepend=-1) != 0]
         rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
         nbrs = (key % n).tolist()
-        return cls(n, tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:])))
+        g = cls(n, tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:])))
+        key.flags.writeable = False
+        g._edge_keys = key
+        return g
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """Read-only sorted int64 keys u*n + v, one per ordered pair of adjacent vertices."""
+        if self._edge_keys is None:
+            n = self.vertex_count
+            key = np.array(
+                [u * n + v for u, nbrs in enumerate(self.adjacency) for v in nbrs], dtype=np.int64
+            )
+            key.flags.writeable = False
+            self._edge_keys = key
+        return self._edge_keys
 
     @property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:

@@ -80,23 +80,37 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
 def _clique_faces(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
     """All cliques of g grouped by dimension 0..max_dim, by ordered expansion.
 
-    An i-face extends only by common neighbors greater than its last vertex,
-    so every clique is produced exactly once, in lexicographic order.
+    Layer i is held as i+1 vertex columns of its faces. A face extends by
+    each upper neighbour w of its last vertex that is adjacent to every other
+    vertex f_j, tested by `searchsorted` of the key f_j*n + w in the sorted
+    edge keys. Each clique is produced once, and every layer is in
+    lexicographic order (docs/decisions.md, section 9).
     """
-    faces: list[list[Face]] = [[(v,) for v in range(g.vertex_count)], list(g.edges())]
-    nbrs = g.neighbor_sets
-    for dim in range(2, max_dim + 1):
-        cur: list[Face] = []
-        for face in faces[dim - 1]:
-            cand = nbrs[face[0]]
-            for v in face[1:]:
-                cand = cand & nbrs[v]
-            last = face[-1]
-            for w in sorted(cand):
-                if w > last:
-                    cur.append(face + (w,))
-        faces.append(cur)
-    return tuple(tuple(fs) for fs in faces[: max_dim + 1])
+    n = g.vertex_count
+    faces: list[tuple[Face, ...]] = [tuple((v,) for v in range(n))]
+    if max_dim >= 1:
+        keys = g.edge_keys
+        u, v = np.divmod(keys, n)
+        upper = u < v
+        u, v = u[upper], v[upper]
+        start = np.searchsorted(u, np.arange(n + 1))
+        cols = [u, v]
+        faces.append(tuple(zip(u.tolist(), v.tolist())))
+        for _ in range(2, max_dim + 1):
+            first = start[cols[-1]]
+            count = start[cols[-1] + 1] - first
+            parent = np.repeat(np.arange(len(first)), count)
+            # candidate t of a face is v[first + t] and lands at slot offset + t
+            offset = np.cumsum(count) - count
+            w = v[np.arange(len(parent)) + np.repeat(first - offset, count)]
+            keep = np.ones(len(w), dtype=bool)
+            for col in cols[:-1]:
+                q = col[parent] * n + w
+                keep &= keys.take(np.searchsorted(keys, q), mode="clip") == q
+            parent = parent[keep]
+            cols = [col[parent] for col in cols] + [w[keep]]
+            faces.append(tuple(zip(*(col.tolist() for col in cols))))
+    return tuple(faces)
 
 
 def _cliques_up_to(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:

@@ -140,6 +140,31 @@ def brute_cliques(adj_sets, size: int) -> list[tuple[int, ...]]:
     ]
 
 
+def cliques_by_set_expansion(adj_sets, max_dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Clique layers 0..max_dim by neighbour-set intersection: the slow path of
+    `generators._clique_faces`.
+
+    An i-face extends only by common neighbors greater than its last vertex,
+    so every clique is produced exactly once, in lexicographic order.
+    """
+    n = len(adj_sets)
+    edges = [(u, v) for u in range(n) for v in sorted(adj_sets[u]) if v > u]
+    faces: list[list[tuple[int, ...]]] = [[(v,) for v in range(n)], edges]
+    nbrs = adj_sets
+    for dim in range(2, max_dim + 1):
+        cur: list[tuple[int, ...]] = []
+        for face in faces[dim - 1]:
+            cand = nbrs[face[0]]
+            for v in face[1:]:
+                cand = cand & nbrs[v]
+            last = face[-1]
+            for w in sorted(cand):
+                if w > last:
+                    cur.append(face + (w,))
+        faces.append(cur)
+    return tuple(tuple(fs) for fs in faces[: max_dim + 1])
+
+
 def brute_y_count(adj_sets, k: int) -> int:
     total = 0
     for base in brute_cliques(adj_sets, k - 1):

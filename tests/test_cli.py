@@ -229,6 +229,28 @@ def test_estimate_mu_rejects_k2(capsys):
     assert run_cli(["estimate-mu", "--k", 2, "--d", 2, "--seed", 4]) == 2
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_estimate_mu_rejects_nonpositive_dimension(capsys, d):
+    assert run_cli(["estimate-mu", "--k", 3, "--d", d, "--samples", 10, "--seed", 1]) == 2
+    assert "error: config: d must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_requires_model(tmp_path, capsys):
+    code = run_cli(["sweep", "--n", 10, "--grid", "0.5", "--trials", 2, "--seed", 1,
+                    "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "error: config: missing required parameter --model" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_rejects_negative_max_k(tmp_path, capsys):
+    code = run_cli(["sweep", "--model", "er", "--n", 10, "--grid", "0.5", "--max-k", -1,
+                    "--trials", 2, "--seed", 1, "--out", tmp_path / "s.csv"])
+    assert code == 2
+    assert "error: config: --max-k must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_er_trivial_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--model", "er", "--n", 30, "--grid", "0,1",

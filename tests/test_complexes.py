@@ -122,6 +122,25 @@ def test_from_edges_reads_every_input_form_alike():
         assert g.adjacency == brute_adjacency(n, edges)
 
 
+def test_edge_keys_memo_is_read_only_and_outside_equality():
+    gen = RngStream(33).generator()
+    for n in (0, 1, 2, 9, 30):
+        edges = gen.integers(0, max(n, 1), size=(3 * n, 2))
+        built = Graph.from_edges(n, edges[edges[:, 0] != edges[:, 1]])
+        bare = Graph(n, built.adjacency)
+        assert bare._edge_keys is None and built._edge_keys is not None
+        # a filled memo changes neither equality nor the hash
+        assert built == bare and hash(built) == hash(bare)
+        assert np.array_equal(bare.edge_keys, built.edge_keys)
+        assert built.edge_keys.dtype == bare.edge_keys.dtype == np.int64
+        assert bare == Graph(n, built.adjacency) and hash(bare) == hash(Graph(n, built.adjacency))
+        for keys in (built.edge_keys, bare.edge_keys):
+            assert not keys.flags.writeable
+            if keys.size:
+                with pytest.raises(ValueError):
+                    keys[0] = 0
+
+
 @pytest.mark.parametrize(
     "edges, message",
     [

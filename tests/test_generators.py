@@ -22,7 +22,9 @@ from randcomplex import (
     sample_points,
 )
 
-from oracles import er_graph_by_triu
+from oracles import cliques_by_set_expansion, er_graph_by_triu
+from randcomplex.experiments import RegimeSpec
+from randcomplex.generators import _clique_faces
 
 EQUILATERAL = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)]])
 
@@ -125,6 +127,39 @@ def test_cliques_of_order_in_any_order_matches_subset_enumeration():
         g = Graph(seeded.vertex_count, seeded.adjacency)  # no expansion memoized yet
         assert {m: cliques_of_order(g, m) for m in orders} == expected
         assert list(clique_complex(g, 3).faces[3]) == expected[4]
+
+
+# the four benchmark regimes: (spec, deepest clique layer a trial reads)
+BENCHMARK_REGIMES = [
+    (RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0), 4),
+    (RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0), 2),
+    (RegimeSpec(model="er_clique", k=1, n=400, gamma=0.7), 2),
+    (RegimeSpec(model="rips", k=2, n=150, d=2, alpha=1.0), 3),
+]
+
+
+def _regime_graph(spec: RegimeSpec, rng: RngStream) -> Graph:
+    if spec.model == "er_clique":
+        return gen_er_graph(spec.n, spec.resolve_p(), rng)
+    pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
+    return geometric_graph(pts, spec.resolve_r())
+
+
+def test_clique_expansion_matches_set_oracle():
+    complete = Graph.from_edges(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+    cases = [(Graph.from_edges(n, []), 3) for n in (0, 1, 2, 40)]
+    cases += [(Graph.from_edges(2, [(0, 1)]), 2)]
+    cases += [(complete, max_dim) for max_dim in range(8)]
+    cases += [(gen_er_graph(30, p, RngStream(11, t)), 5) for t, p in enumerate((0.5, 0.9))]
+    for spec, max_dim in BENCHMARK_REGIMES:
+        cases += [(_regime_graph(spec, RngStream(31, t)), max_dim) for t in range(20)]
+    for g, max_dim in cases:
+        expected = cliques_by_set_expansion(g.neighbor_sets, max_dim)
+        assert len(expected) == max_dim + 1
+        assert _clique_faces(g, max_dim) == expected
+        # the same graph without the from_edges key memo
+        assert _clique_faces(Graph(g.vertex_count, g.adjacency), max_dim) == expected
+    assert [len(layer) for layer in _clique_faces(complete, 7)] == [7, 21, 35, 35, 21, 7, 1, 0]
 
 
 def test_sample_points_uniform_bounds_and_mean():
