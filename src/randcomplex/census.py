@@ -3,7 +3,9 @@
 Conventions recorded here because the counts are only defined up to them:
 
 * An empty (k-1)-simplex is a k-set of points whose (k-1)-subsets all have
-  a common ball intersection at radius r while the full k-set does not.
+  a common ball intersection at radius r while the full k-set does not. S
+  and S_iso read this off the Čech complex: a k-clique that is not a face
+  although its k facets are.
 * Y counts (base clique on k-1 vertices, unordered pair {u, v} of base
   vertices, pendant edges u-a and v-b) with a, b outside the base and
   a != b. Z counts (base clique, base vertex u, path u-a-b) with a, b
@@ -30,7 +32,9 @@ from itertools import chain, combinations, permutations, product
 import numpy as np
 
 from .complexes import Graph, PointCloud, SimplicialComplex, components
-from .generators import RngStream, balls_intersect, cliques_of_order, geometric_graph
+from .generators import (
+    RngStream, balls_intersect, cech_complex, cliques_of_order, geometric_graph
+)
 from .miniball import RADIUS_RTOL, three_point_radius
 
 # ---------------------------------------------------------------------------
@@ -183,32 +187,46 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def empty_simplex_count(
-    pts: PointCloud, r: float, k: int, g: Graph | None = None
-) -> int:
-    """Number of empty (k-1)-simplices among the points at radius r.
+def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, int]:
+    """(S, S_iso): empty (k-1)-simplices of the Čech complex c of g, and the isolated ones.
 
-    For k = 2 these are simply the non-adjacent vertex pairs. For k >= 3
-    every candidate must be a clique of the geometric graph (all pairwise
-    ball intersections are pair subsets), so enumeration is restricted to
-    k-cliques.
+    A k-clique of g is empty when it is not a (k-1)-face of c although each
+    of its k facets is a (k-2)-face, and isolated when its component of g is
+    the clique itself (docs/decisions.md, section 10). For k = 2 they are
+    the non-edges and the pairs of isolated vertices.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if g is None:
-        g = geometric_graph(pts, r)
-    n = len(pts)
+    if not 2 <= k <= c.max_dim + 1:
+        raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
+    comp = components(g)
     if k == 2:
-        return n * (n - 1) // 2 - g.edge_count
-    count = 0
-    for S in cliques_of_order(g, k):
-        if _is_empty_clique(pts.points[list(S)], r, r):
-            count += 1
-    return count
+        n, lonely = g.vertex_count, list(comp.component_sizes.values()).count(1)
+        return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
+    faces, facets = set(c.faces[k - 1]), set(c.faces[k - 2])
+    s = s_iso = 0
+    for f in cliques_of_order(g, k):
+        if f not in faces and all(f[:i] + f[i + 1 :] in facets for i in range(k)):
+            s += 1
+            s_iso += comp.size_of(f[0]) == k
+    return s, s_iso
+
+
+def _cech_counts(pts: PointCloud, r: float, k: int, g: Graph | None) -> tuple[int, int]:
+    g = geometric_graph(pts, r) if g is None else g
+    return empty_simplex_counts(cech_complex(pts, r, k - 1, graph=g), g, k)
+
+
+def empty_simplex_count(pts: PointCloud, r: float, k: int, g: Graph | None = None) -> int:
+    """Number of empty (k-1)-simplices among the points at radius r: S."""
+    return _cech_counts(pts, r, k, g)[0]
+
+
+def isolated_empty_simplex_count(pts: PointCloud, r: float, k: int, g: Graph | None = None) -> int:
+    """Empty (k-1)-simplices whose k vertices have no edges to the rest: S_iso."""
+    return _cech_counts(pts, r, k, g)[1]
 
 
 def _is_empty_clique(pts: np.ndarray, r: float, full_r: float) -> bool:
-    """Emptiness test for points already known to be a clique of the 2r-graph.
+    """The μ estimate's emptiness test, for points known to be a clique of the 2r-graph.
 
     True when the radius-`full_r` balls about all the points share no point
     while the radius-r balls about every facet of three or more points do;
@@ -221,29 +239,6 @@ def _is_empty_clique(pts: np.ndarray, r: float, full_r: float) -> bool:
             if not balls_intersect(np.delete(pts, omit, axis=0), r):
                 return False
     return True
-
-
-def isolated_empty_simplex_count(
-    pts: PointCloud, r: float, k: int, g: Graph | None = None
-) -> int:
-    """Empty (k-1)-simplices whose k vertices have no edges to the rest."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if g is None:
-        g = geometric_graph(pts, r)
-    nbrs = g.neighbor_sets
-    count = 0
-    if k == 2:
-        # non-adjacent pairs of isolated vertices
-        lonely = [v for v in range(g.vertex_count) if not nbrs[v]]
-        return len(lonely) * (len(lonely) - 1) // 2
-    for S in cliques_of_order(g, k):
-        sset = set(S)
-        if any(not nbrs[v] <= sset for v in S):
-            continue
-        if _is_empty_clique(pts.points[list(S)], r, r):
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +635,9 @@ def er_covariance_faces(n: int, k: int, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+MU_BLOCK_SIZE = 1 << 15  # samples per sub-stream block of `estimate_mu`
+
+
 @dataclass(frozen=True)
 class MuEstimate:
     value: float
@@ -659,7 +657,6 @@ def estimate_mu(
     rng: RngStream,
     *,
     full_intersection_radius: float = 1.0,
-    block_size: int = 1 << 15,
 ) -> MuEstimate:
     """Monte Carlo estimate of the empty-simplex shape integral.
 
@@ -688,7 +685,7 @@ def estimate_mu(
     done = 0
     block = 0
     while done < samples:
-        m = min(block_size, samples - done)
+        m = min(MU_BLOCK_SIZE, samples - done)
         gen = rng.block(block)
         dirs = gen.standard_normal((m, k - 1, d))
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)

@@ -17,11 +17,10 @@ from . import __version__
 from .census import (
     CensusReport,
     cross_polytope_counts,
-    empty_simplex_count,
+    empty_simplex_counts,
     er_expected_faces,
     estimate_mu,
     faces_on_large_components,
-    isolated_empty_simplex_count,
     tree_counts_order5,
     y_count,
     z_count,
@@ -195,8 +194,7 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
     _assert_morse(f, betti)
     report = CensusReport(f=f, betti=betti, k=k)
     if spec.model == "cech":
-        s = empty_simplex_count(pts, r, k, g)
-        s_iso = isolated_empty_simplex_count(pts, r, k, g)
+        s, s_iso = empty_simplex_counts(c, g, k)
         y = y_count(g, k)
         z = z_count(g, k)
         if not s_iso <= betti[top] <= s + y + z:

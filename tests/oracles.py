@@ -307,13 +307,15 @@ def brute_empty_simplices(points: np.ndarray, r: float, k: int) -> list[tuple[in
     return out
 
 
-def brute_isolated_empty_count(points: np.ndarray, r: float, k: int) -> int:
+def brute_isolated_empty_count(points: np.ndarray, r: float, empties) -> int:
+    """How many of `empties` (from `brute_empty_simplices`) have no vertex
+    within 2r of a point outside the simplex."""
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
     lim = (2 * r) ** 2
     count = 0
-    for S in brute_empty_simplices(pts, r, k):
+    for S in empties:
         sset = set(S)
         if all(d2[u, w] > lim for u in S for w in range(n) if w not in sset):
             count += 1

@@ -16,9 +16,11 @@ from randcomplex import (
     RegimeSpec,
     RngStream,
     canonical_form,
+    cech_complex,
     clique_complex,
     cross_polytope_counts,
     empty_simplex_count,
+    empty_simplex_counts,
     enumerate_extension_types,
     er_covariance_faces,
     er_expected_faces,
@@ -35,6 +37,7 @@ from randcomplex import (
     z_count,
 )
 from randcomplex.census import (
+    MU_BLOCK_SIZE,
     automorphism_count,
     connected_subsets,
     cross_polytope_skeleton,
@@ -112,20 +115,32 @@ def test_no_empty_triangles_in_spread_points():
     assert isolated_empty_simplex_count(pc, 1.0, 3) == 0
 
 
+def test_empty_counts_reject_k_outside_the_complex():
+    pc = PointCloud(2, EQUILATERAL)
+    g = geometric_graph(pc, 1.05)
+    c = cech_complex(pc, 1.05, 2, graph=g)
+    assert empty_simplex_counts(c, g, 3) == (1, 1)
+    for k in (1, 4):
+        with pytest.raises(ValueError):
+            empty_simplex_counts(c, g, k)
+
+
 def test_empty_and_isolated_match_brute_force():
-    gen = RngStream(311).generator()
-    for _ in range(40):
-        n = int(gen.integers(4, 11))
-        pts = gen.random((n, 2)) * 2.0
-        r = float(gen.random() * 0.5 + 0.15)
-        pc = PointCloud(2, pts)
-        for k in (2, 3, 4):
-            assert empty_simplex_count(pc, r, k) == len(
-                brute_empty_simplices(pts, r, k)
-            )
-            assert isolated_empty_simplex_count(pc, r, k) == brute_isolated_empty_count(
-                pts, r, k
-            )
+    # The d=3 points fill a unit cube: there the k=4 and k=5 cliques often
+    # have a facet that is not a Čech face, so the facet clause is exercised.
+    for d, seed, side, instances in ((2, 311, 2.0, 40), (3, 312, 1.0, 20)):
+        gen = RngStream(seed).generator()
+        for _ in range(instances):
+            n = int(gen.integers(4, 11))
+            pts = gen.random((n, d)) * side
+            r = float(gen.random() * 0.5 + 0.15)
+            pc = PointCloud(d, pts)
+            for k in (2, 3, 4, 5):
+                empties = brute_empty_simplices(pts, r, k)
+                assert empty_simplex_count(pc, r, k) == len(empties)
+                assert isolated_empty_simplex_count(pc, r, k) == brute_isolated_empty_count(
+                    pts, r, empties
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +578,9 @@ def test_mu_k4_d3_positive():
     assert est.value > 5 * est.std_error
 
 
-def test_mu_block_size_invariance():
-    a = estimate_mu(3, 2, 40_000, RngStream(611), block_size=1 << 12)
-    b = estimate_mu(3, 2, 40_000, RngStream(611), block_size=1 << 12)
+def test_mu_repeats_exactly():
+    # more than one block, and a partial last one
+    assert MU_BLOCK_SIZE < 40_000 and 40_000 % MU_BLOCK_SIZE
+    a = estimate_mu(3, 2, 40_000, RngStream(611))
+    b = estimate_mu(3, 2, 40_000, RngStream(611))
     assert a == b

@@ -547,3 +547,25 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
     assert calls == {"bfs": 1, "cliques": 1, "from_edges": 1}
     monkeypatch.undo()
     assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+
+
+def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
+    """S and S_iso are read off the built complex: no second ball test."""
+    spec = PIPELINE_SPECS["cech"]
+    calls = {"balls": 0}
+    radius = generators.min_enclosing_radius
+
+    def counted_radius(centers):
+        calls["balls"] += 1
+        return radius(centers)
+
+    # every balls_intersect call runs this once, under whichever name it was imported
+    monkeypatch.setattr(generators, "min_enclosing_radius", counted_radius)
+    instance_census(spec, RngStream(31, 0))
+    in_trial, calls["balls"] = calls["balls"], 0
+    pts = generators.sample_points(
+        spec.n, generators.DensitySpec(spec.density, spec.d), RngStream(31, 0)
+    )
+    r = spec.resolve_r()
+    generators.cech_complex(pts, r, spec.k - 1, graph=generators.geometric_graph(pts, r))
+    assert in_trial == calls["balls"] > 0
