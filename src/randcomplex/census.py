@@ -15,19 +15,17 @@ Conventions recorded here because the counts are only defined up to them:
   bound needs.
 * Cross-polytope skeletons are detected by the exact characterization
   "complement within the vertex set is a perfect matching".
-* The non-induced counts t1-t3 of the three trees on five vertices come
-  from closed forms in degrees, triangles and common-neighbour counts
-  (`tree_counts_order5`, O(sum_v d_v^2)). `subgraph_counts` stays the
-  general census by enumeration and is the oracle for those forms.
+* Y, Z and the non-induced counts t1-t3 of the three trees on five
+  vertices come from closed forms in degrees and pair codegrees, array sums
+  over the edge keys (`_codegrees`; docs/decisions.md, section 11).
+  `subgraph_counts` stays the general census by enumeration.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -140,6 +138,26 @@ def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGra
     return path, star, spider
 
 
+def _codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Degrees d, neighbour-degree sums s, pair codegrees w and edge codegrees c of g.
+
+    The wedges m-b-x (x ~ b ~ m) are gathered by `np.repeat` over the CSR rows
+    of `g.edge_keys`, as in `_clique_faces`. w counts the wedges of each key
+    m*n + x: |N(m) & N(x)| for x != m, d_m for x = m. s_m counts the wedges
+    from m, and c is w at each edge key, or 0 (docs/decisions.md, section 11).
+    """
+    n, keys = g.vertex_count, g.edge_keys
+    src, nbr = np.divmod(keys, n)
+    d = np.bincount(src, minlength=n)
+    count = d[nbr]  # wedge t of edge m-b: slot (wedges of earlier edges) + t, x = row of b + t
+    shift = np.repeat((np.cumsum(d) - d)[nbr] - (np.cumsum(count) - count), count)
+    m = np.repeat(src, count)
+    pairs, w = np.unique(m * n + nbr[np.arange(len(m)) + shift], return_counts=True)
+    pos = np.searchsorted(pairs, keys)
+    c = np.where(pairs.take(pos, mode="clip") == keys, w.take(pos, mode="clip"), 0)
+    return d, np.bincount(m, minlength=n), w, c
+
+
 def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
     """Non-induced (path, star, spider) counts, in `tree_patterns_order5` order.
 
@@ -152,34 +170,14 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
     * path = 1/2 sum_m [P_m^2 - sum_{b~m} (d_b - 1)^2 - sum_{x!=m} w_x (w_x - 1)
       - 2 sum_{b~m} t_mb (d_b - 1) + T_m].
 
-    One pass over the vertices, O(sum_v d_v^2); docs/decisions.md derives
-    the formulas. `subgraph_counts` computes the same numbers by
-    enumeration and serves as the oracle.
+    Sums over b ~ m run over the ordered edges (docs/decisions.md, sections 1, 11).
     """
-    adj = g.adjacency
-    deg = [len(a) for a in adj]
-    path2 = star = spider = 0
-    for m, nm in enumerate(adj):
-        dm = deg[m]
-        if dm < 2:  # a centre of any of the three trees has degree >= 2
-            continue
-        w = Counter(chain.from_iterable(adj[b] for b in nm))
-        e = [deg[b] - 1 for b in nm]
-        t = [w[b] for b in nm]
-        p = sum(e)
-        tri2 = sum(t)
-        # sum_{x != m} w_x (w_x - 1), using w_m = d_m and sum_{x != m} w_x = p
-        shared = sum(x * x for x in w.values()) - dm * dm - p
-        path2 += (
-            p * p
-            - sum(x * x for x in e)
-            - shared
-            - 2 * sum(map(operator.mul, t, e))
-            + tri2
-        )
-        star += math.comb(dm, 4)
-        spider += math.comb(dm - 1, 2) * p - (dm - 2) * tri2
-    return path2 // 2, star, spider
+    d, s, w, t = _codegrees(g)
+    p, dm = s - d, np.repeat(d, d)  # dm: the degree of m on each ordered edge m-b
+    path2 = p @ p - d @ (d - 1) ** 2 - (w @ (w - 1) - d @ (d - 1)) - 2 * t @ (dm - 1) + t.sum()
+    star = (d * (d - 1) * (d - 2) * (d - 3) // 24).sum()
+    spider = ((d - 1) * (d - 2) // 2) @ p - t @ (dm - 2)
+    return int(path2) // 2, int(star), int(spider)
 
 
 # ---------------------------------------------------------------------------
@@ -246,42 +244,44 @@ def _is_empty_clique(pts: np.ndarray, r: float, full_r: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _bases(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """d, s, the (k-1)-cliques of g as rows, and one row of codegrees per position pair i < j."""
+    if k < 3:
+        raise ValueError("k must be >= 3")
+    n, (d, s, _, c) = g.vertex_count, _codegrees(g)
+    if k == 3:  # the bases are the edges: the upper keys, with no tuple layer to convert
+        u, v = np.divmod(g.edge_keys, n)
+        base = np.column_stack((u, v))[u < v]
+    else:
+        base = np.array(cliques_of_order(g, k - 1), dtype=np.int64).reshape(-1, k - 1)
+    at = [base[:, i] * n + base[:, j] for i, j in combinations(range(k - 1), 2)]
+    return d, s, base, c[np.searchsorted(g.edge_keys, np.array(at))]
+
+
 def y_count(g: Graph, k: int) -> int:
     """Cliques on k-1 vertices with pendant edges at two distinct vertices.
 
     Counted once per (base clique, unordered base pair {u, v}, pendant
-    assignment a to u and b to v) with a, b outside the base and a != b.
+    assignment a to u and b to v) with a, b outside the base and a != b, as
+    the sum over bases B and pairs i < j in B of (d_i - (k-2))(d_j - (k-2)) -
+    (c_ij - (k-3)), with c the edge codegrees (docs/decisions.md, section 11).
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    nbrs = g.neighbor_sets
-    total = 0
-    for base in cliques_of_order(g, k - 1):
-        bset = set(base)
-        outside = [nbrs[u] - bset for u in base]
-        for i in range(len(base)):
-            for j in range(i + 1, len(base)):
-                a, b = outside[i], outside[j]
-                total += len(a) * len(b) - len(a & b)
-    return total
+    d, _, base, c = _bases(g, k)
+    e = d[base] - (k - 2)
+    rows = e.sum(axis=1)
+    return int((rows @ rows - (e * e).sum()) // 2 - c.sum()) + c.size * (k - 3)
 
 
 def z_count(g: Graph, k: int) -> int:
     """Cliques on k-1 vertices with a path of length two attached.
 
     Counted once per (base clique, base vertex u, path u-a-b) with a and b
-    outside the base.
+    outside the base, as the sum over bases B and u in B of s_u - (d_u - (k-2))
+    - sum_{b in B, b != u} (d_b + c_ub - (k-3)), with s_u = sum_{a~u} d_a.
     """
-    if k < 3:
-        raise ValueError("k must be >= 3")
-    nbrs = g.neighbor_sets
-    total = 0
-    for base in cliques_of_order(g, k - 1):
-        bset = set(base)
-        for u in base:
-            for a in nbrs[u] - bset:
-                total += len(nbrs[a] - bset)
-    return total
+    d, s, base, c = _bases(g, k)
+    z = (s[base] - (k - 1) * d[base]).sum() - 2 * c.sum()
+    return int(z) + len(base) * (k - 1) * (k - 2) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -323,10 +323,10 @@ def run_experiment(
     integer sums, and all derived distances are independent of the worker
     count.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if trials < 1 or workers < 1:
+        raise ValueError(f"trials and workers must be >= 1, got {trials} and {workers}")
     args = [(spec, master_seed, t) for t in range(trials)]
-    if workers <= 1:
+    if workers == 1:
         rows = [_run_trial(a) for a in args]
     else:
         chunk = max(1, trials // (workers * 8))

@@ -8,11 +8,14 @@ oracles must stay independent of the code paths they verify.
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+import operator
+from collections import Counter
+from itertools import chain, combinations, permutations
 
 import numpy as np
 
 from randcomplex import Graph
+from randcomplex.generators import cliques_of_order
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,62 @@ def brute_z_count(adj_sets, k: int) -> int:
                     if b != a:
                         total += 1
     return total
+
+
+def y_count_by_sets(g: Graph, k: int) -> int:
+    """Y by neighbour-set differences per base clique: the slow path of `census.y_count`."""
+    nbrs = g.neighbor_sets
+    total = 0
+    for base in cliques_of_order(g, k - 1):
+        bset = set(base)
+        outside = [nbrs[u] - bset for u in base]
+        for i in range(len(base)):
+            for j in range(i + 1, len(base)):
+                a, b = outside[i], outside[j]
+                total += len(a) * len(b) - len(a & b)
+    return total
+
+
+def z_count_by_sets(g: Graph, k: int) -> int:
+    """Z by neighbour-set differences per base clique: the slow path of `census.z_count`."""
+    nbrs = g.neighbor_sets
+    total = 0
+    for base in cliques_of_order(g, k - 1):
+        bset = set(base)
+        for u in base:
+            for a in nbrs[u] - bset:
+                total += len(nbrs[a] - bset)
+    return total
+
+
+def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
+    """(path, star, spider) by one Counter of w_x per centre m: the slow path of
+    `census.tree_counts_order5`, with the same closed forms (docs/decisions.md, section 1).
+    """
+    adj = g.adjacency
+    deg = [len(a) for a in adj]
+    path2 = star = spider = 0
+    for m, nm in enumerate(adj):
+        dm = deg[m]
+        if dm < 2:  # a centre of any of the three trees has degree >= 2
+            continue
+        w = Counter(chain.from_iterable(adj[b] for b in nm))
+        e = [deg[b] - 1 for b in nm]
+        t = [w[b] for b in nm]
+        p = sum(e)
+        tri2 = sum(t)
+        # sum_{x != m} w_x (w_x - 1), using w_m = d_m and sum_{x != m} w_x = p
+        shared = sum(x * x for x in w.values()) - dm * dm - p
+        path2 += (
+            p * p
+            - sum(x * x for x in e)
+            - shared
+            - 2 * sum(map(operator.mul, t, e))
+            + tri2
+        )
+        star += math.comb(dm, 4)
+        spider += math.comb(dm - 1, 2) * p - (dm - 2) * tri2
+    return path2 // 2, star, spider
 
 
 def is_isomorphic(n: int, edges_a, edges_b) -> bool:

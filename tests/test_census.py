@@ -54,6 +54,9 @@ from oracles import (
     brute_y_count,
     brute_z_count,
     mu_quadrature_k3,
+    tree_counts_by_centres,
+    y_count_by_sets,
+    z_count_by_sets,
 )
 
 EQUILATERAL = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)]])
@@ -183,6 +186,62 @@ def test_yz_match_brute_force():
         for k in (3, 4, 5):
             assert y_count(g, k) == brute_y_count(g.neighbor_sets, k)
             assert z_count(g, k) == brute_z_count(g.neighbor_sets, k)
+
+
+def _regime_graphs(spec: RegimeSpec, seed: int, count: int):
+    r = spec.resolve_r()
+    for t in range(count):
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(seed, t))
+        yield geometric_graph(pts, r)
+
+
+def test_yz_match_set_oracles_on_cech_graphs():
+    # the graphs of the cech-k3-n2000 regime, where Y and Z bound beta_1
+    spec = RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0)
+    for g in _regime_graphs(spec, 317, 10):
+        assert g.edge_count > 0
+        assert y_count(g, 3) == y_count_by_sets(g, 3)
+        assert z_count(g, 3) == z_count_by_sets(g, 3)
+
+
+def test_yz_match_set_oracles_on_er_graphs():
+    for j, p in enumerate((0.1, 0.3, 0.6)):
+        for t in range(3):
+            g = gen_er_graph(30, p, RngStream(319, 10 * j + t))
+            for k in (3, 4, 5):
+                assert y_count(g, k) == y_count_by_sets(g, k)
+                assert z_count(g, k) == z_count_by_sets(g, k)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_yz_on_complete_graphs(k):
+    for n in range(9):
+        g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+        bases, outside = math.comb(n, k - 1), (n - k + 1) * (n - k)
+        assert y_count(g, k) == bases * math.comb(k - 1, 2) * outside
+        assert z_count(g, k) == bases * (k - 1) * outside
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(0, []),
+        Graph.from_edges(1, []),
+        Graph.from_edges(6, []),
+        path_graph(7),  # edges but no triangle, so no base for k >= 4
+        cycle_graph(4),
+        Graph(3, ((1,), (0,), ())),  # keys derived from the rows, not from_edges
+    ],
+    ids=["n0", "n1", "edgeless", "path", "square", "rows"],
+)
+def test_yz_and_trees_on_triangle_free_graphs(g):
+    # no base clique for k >= 4, and none for k = 3 without an edge
+    for k in (3, 4, 5):
+        assert y_count(g, k) == y_count_by_sets(g, k)
+        assert z_count(g, k) == z_count_by_sets(g, k)
+        if k >= 4 or g.edge_count == 0:
+            assert (y_count(g, k), z_count(g, k)) == (0, 0)
+    assert tree_counts_order5(g) == tree_counts_by_centres(g)
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +376,17 @@ def test_tree_counts_match_subgraph_counts_on_rips_graphs():
         g = geometric_graph(pts, r)
         assert g.edge_count > 0
         assert tree_counts_order5(g) == _tree_census_oracle(g)
+
+
+def test_tree_counts_match_centre_oracle():
+    # rips-k1-n500 graphs, where t1-t3 bound f_1^(>=5), and ER graphs up to p = 1
+    spec = RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0)
+    for g in _regime_graphs(spec, 337, 10):
+        assert tree_counts_order5(g) == tree_counts_by_centres(g)
+    for j, p in enumerate((0.05, 0.2, 0.5, 1.0)):
+        for n in (30, 60):
+            g = gen_er_graph(n, p, RngStream(339, 10 * j + n))
+            assert tree_counts_order5(g) == tree_counts_by_centres(g)
 
 
 @pytest.mark.parametrize("n", range(5, 10))

@@ -251,6 +251,19 @@ def test_sweep_rejects_negative_max_k(tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+@pytest.mark.parametrize("command", ["experiment", "sweep"])
+def test_workers_below_one_is_a_config_error(tmp_path, capsys, command, workers):
+    outputs = (["--out-csv", tmp_path / "t.csv", "--out-json", tmp_path / "s.json"]
+               if command == "experiment" else ["--grid", "0.5", "--out", tmp_path / "s.csv"])
+    code = run_cli([command, "--model", "er", "--n", 10, "--p", 0.5, "--k", 1, "--trials", 2,
+                    "--seed", 1, "--workers", workers] + outputs)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: config: trials and workers must be >= 1, got 2 and {workers}" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_sweep_er_trivial_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--model", "er", "--n", 30, "--grid", "0,1",

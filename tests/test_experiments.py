@@ -6,6 +6,7 @@ import json
 import math
 import re
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -547,6 +548,23 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
     assert calls == {"bfs": 1, "cliques": 1, "from_edges": 1}
     monkeypatch.undo()
     assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+
+
+@pytest.mark.parametrize(
+    "name, readers", [("cech", set()), ("rips-k1", {"cross_polytope_counts"})]
+)
+def test_trial_reads_neighbor_sets_only_for_cross_polytopes(monkeypatch, name, readers):
+    """Y, Z and the tree counts come from the edge keys, not the frozenset memo."""
+    callers = []
+    build = Graph.neighbor_sets.fget
+
+    def counted(g):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return build(g)
+
+    monkeypatch.setattr(Graph, "neighbor_sets", property(counted))
+    instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert set(callers) == readers
 
 
 def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
