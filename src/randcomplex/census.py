@@ -13,11 +13,15 @@ Conventions recorded here because the counts are only defined up to them:
   1-skeleton, matching how the underlying argument counts via the
   geometric graph; both deliberately over-count, which is all the upper
   bound needs.
-* Cross-polytope skeletons are detected by the exact characterization
-  "complement within the vertex set is a perfect matching".
+* An induced cross-polytope skeleton O_k (K_{2,..,2}) is a vertex set whose
+  complement within it is a perfect matching: k+1 disjoint non-adjacent
+  pairs, every cross pair adjacent. o_k counts the (k+1)-cliques of the
+  graph on those pairs, and o~_k the components on 2k+2 vertices of
+  degree 2k each (docs/decisions.md, section 12).
 * Y, Z and the non-induced counts t1-t3 of the three trees on five
   vertices come from closed forms in degrees and pair codegrees, array sums
-  over the edge keys (`_codegrees`; docs/decisions.md, section 11).
+  over the edge keys (`_codegrees`, memoized on the graph and shared with
+  the pair graph; docs/decisions.md, section 11).
   `subgraph_counts` stays the general census by enumeration.
 """
 
@@ -138,24 +142,31 @@ def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGra
     return path, star, spider
 
 
-def _codegrees(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Degrees d, neighbour-degree sums s, pair codegrees w and edge codegrees c of g.
+def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
+    """Degrees d, neighbour-degree sums s, pair codegrees w, edge codegrees c and wedges of g.
 
     The wedges m-b-x (x ~ b ~ m) are gathered by `np.repeat` over the CSR rows
-    of `g.edge_keys`, as in `_clique_faces`. w counts the wedges of each key
-    m*n + x: |N(m) & N(x)| for x != m, d_m for x = m. s_m counts the wedges
-    from m, and c is w at each edge key, or 0 (docs/decisions.md, section 11).
+    of `g.edge_keys`, as in `_clique_faces`, into columns m, b, x sorted by
+    (m, b, x). w counts the wedges of each key m*n + x: |N(m) & N(x)| for
+    x != m, d_m for x = m. s_m counts the wedges from m, and c is w at each
+    edge key, or 0 (docs/decisions.md, section 11). The read-only tuple
+    (d, s, w, c, m, b, x) is memoized on g, so every counter shares one gather.
     """
-    n, keys = g.vertex_count, g.edge_keys
-    src, nbr = np.divmod(keys, n)
-    d = np.bincount(src, minlength=n)
-    count = d[nbr]  # wedge t of edge m-b: slot (wedges of earlier edges) + t, x = row of b + t
-    shift = np.repeat((np.cumsum(d) - d)[nbr] - (np.cumsum(count) - count), count)
-    m = np.repeat(src, count)
-    pairs, w = np.unique(m * n + nbr[np.arange(len(m)) + shift], return_counts=True)
-    pos = np.searchsorted(pairs, keys)
-    c = np.where(pairs.take(pos, mode="clip") == keys, w.take(pos, mode="clip"), 0)
-    return d, np.bincount(m, minlength=n), w, c
+    if g._codegrees is None:
+        n, keys = g.vertex_count, g.edge_keys
+        src, nbr = np.divmod(keys, n)
+        d = np.bincount(src, minlength=n)
+        count = d[nbr]  # wedge t of edge m-b: slot (wedges of earlier edges) + t, x = row of b + t
+        shift = np.repeat((np.cumsum(d) - d)[nbr] - (np.cumsum(count) - count), count)
+        m, b = np.repeat(src, count), np.repeat(nbr, count)
+        x = nbr[np.arange(len(m)) + shift]
+        pairs, w = np.unique(m * n + x, return_counts=True)
+        pos = np.searchsorted(pairs, keys)
+        c = np.where(pairs.take(pos, mode="clip") == keys, w.take(pos, mode="clip"), 0)
+        g._codegrees = (d, np.bincount(m, minlength=n), w, c, m, b, x)
+        for a in g._codegrees:
+            a.flags.writeable = False
+    return g._codegrees
 
 
 def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
@@ -172,7 +183,7 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
 
     Sums over b ~ m run over the ordered edges (docs/decisions.md, sections 1, 11).
     """
-    d, s, w, t = _codegrees(g)
+    d, s, w, t, *_ = _codegrees(g)
     p, dm = s - d, np.repeat(d, d)  # dm: the degree of m on each ordered edge m-b
     path2 = p @ p - d @ (d - 1) ** 2 - (w @ (w - 1) - d @ (d - 1)) - 2 * t @ (dm - 1) + t.sum()
     star = (d * (d - 1) * (d - 2) * (d - 3) // 24).sum()
@@ -248,7 +259,7 @@ def _bases(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     """d, s, the (k-1)-cliques of g as rows, and one row of codegrees per position pair i < j."""
     if k < 3:
         raise ValueError("k must be >= 3")
-    n, (d, s, _, c) = g.vertex_count, _codegrees(g)
+    n, (d, s, _, c, *_) = g.vertex_count, _codegrees(g)
     if k == 3:  # the bases are the edges: the upper keys, with no tuple layer to convert
         u, v = np.divmod(g.edge_keys, n)
         base = np.column_stack((u, v))[u < v]
@@ -289,79 +300,51 @@ def z_count(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_cross_skeleton(nbrs, subset) -> bool:
-    """Induced subgraph is K_{2,..,2} iff every vertex misses exactly one other."""
-    sset = set(subset)
-    for u in subset:
-        missing = len(sset) - 1 - len(nbrs[u] & sset)
-        if missing != 1:
-            return False
-    return True
-
-
-def _pair_completions(cand: list[int], pairs_left: int, nbrs) -> int:
-    """Ways to split candidates into `pairs_left` ordered-by-minimum pairs.
-
-    Every chosen vertex must be adjacent to all later choices except its
-    own partner; `cand` already contains only vertices adjacent to all
-    earlier pairs.
-    """
-    if pairs_left == 0:
-        return 1
-    total = 0
-    for i, w in enumerate(cand):
-        rest = cand[i + 1 :]
-        if len(rest) < 2 * pairs_left - 1:
-            break
-        wn = nbrs[w]
-        for x in rest:
-            if x in wn:
-                continue
-            xn = nbrs[x]
-            nxt = [y for y in rest if y != x and y in wn and y in xn]
-            total += _pair_completions(nxt, pairs_left - 1, nbrs)
-    return total
+_MAX_PAIRS = math.isqrt(2**63 - 1)  # pair-graph keys p*N + q stay below N^2 <= 2^63 - 1
 
 
 def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
     """(o_k, o~_k): induced copies and whole components of the O_k 1-skeleton.
 
-    An induced K_{2,..,2} is determined by its k+1 non-adjacent pairs, so
-    copies are enumerated pair by pair in order of the pair minima: the
-    smallest vertex u, its unique non-neighbor partner v, then further
-    pairs drawn from the common neighborhood. Work stays near-linear on
-    sparse graphs because candidates never leave the 2-neighborhood of u.
+    An induced O_k (K_{2,..,2}) is k+1 disjoint non-adjacent pairs with every
+    cross pair adjacent, so o_k is the number of (k+1)-cliques of the pair
+    graph P. Its vertices are the non-adjacent pairs {m, x} with at least 2k
+    common neighbours, joined when all four cross edges exist. Each P-edge is
+    an induced 4-cycle m-b1-x-b2, read off the wedges m-b-x of its diagonal
+    {m, x} that has the smaller key. o~_k counts the components on 2k+2
+    vertices that have degree 2k each (docs/decisions.md, section 12).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    size = 2 * k + 2
-    mindeg = size - 2
-    nbrs = g.neighbor_sets
-    o_induced = 0
-    for u in range(g.vertex_count):
-        un = nbrs[u]
-        if len(un) < mindeg:
-            continue
-        partners = set()
-        for w in un:
-            partners.update(x for x in nbrs[w] if x > u and x not in un)
-        for v in sorted(partners):
-            if len(nbrs[v]) < mindeg:
-                continue
-            cand = sorted(
-                y for y in un & nbrs[v] if y > u and len(nbrs[y]) >= mindeg
-            )
-            o_induced += _pair_completions(cand, k, nbrs)
-    comp = components(g)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        groups.setdefault(comp.component_id[v], []).append(v)
-    o_component = sum(
-        1
-        for verts in groups.values()
-        if len(verts) == size and _is_cross_skeleton(nbrs, verts)
-    )
-    return o_induced, o_component
+    n, keys = g.vertex_count, g.edge_keys
+    d, *_, m, b, x = _codegrees(g)
+    upper = m < x
+    mx = m[upper] * n + x[upper]
+    order = np.argsort(mx, kind="stable")  # the middles of one pair stay ascending
+    mx, b = mx[order], b[upper][order]
+    head = np.flatnonzero(np.diff(mx, prepend=-1))  # one run of wedges per pair
+    size = np.diff(head, append=len(mx))
+    # a pair of an O_k is non-adjacent, with the other 2k vertices as common neighbours
+    keep = (size >= 2 * k) & (keys.take(np.searchsorted(keys, mx[head]), mode="clip") != mx[head])
+    wide = np.repeat(keep, size)
+    mx, b, size = mx[wide], b[wide], size[keep]
+    pairs = mx[np.cumsum(size) - size]
+    if len(pairs) > _MAX_PAIRS:
+        raise ValueError(f"the pair graph of a graph on n={n} vertices needs keys beyond int64")
+    # the middles b1 < b2 of one run: wedge i meets the `later` wedges after it in its run
+    later = np.repeat(np.cumsum(size), size) - np.arange(len(mx)) - 1
+    i = np.repeat(np.arange(len(mx)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    q = b[i] * n + b[j]
+    pos = np.searchsorted(pairs, q)
+    # {b1, b2} in P is non-adjacent, so m-b1-x-b2 is induced; the larger diagonal skips it
+    found = (pairs.take(pos, mode="clip") == q) & (mx[i] < q)
+    run = np.repeat(np.arange(len(pairs)), size)
+    p = Graph.from_edges(len(pairs), np.column_stack((run[i[found]], pos[found])))
+    label = np.array(components(g).component_id, dtype=np.int64)
+    whole = np.bincount(label, minlength=n) == 2 * k + 2
+    regular = np.bincount(label[d == 2 * k], minlength=n) == 2 * k + 2
+    return len(cliques_of_order(p, k + 1)), int(np.count_nonzero(whole & regular))
 
 
 def faces_on_large_components(

@@ -16,23 +16,30 @@ Face = tuple[int, ...]
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with sorted adjacency."""
+    """Undirected simple graph on vertices 0..n-1: sorted edge keys or sorted rows.
 
-    # immutable, so edge keys, neighbour sets, components and cliques are memos built on first use
+    `Graph(n, adjacency)` keeps the sorted neighbour rows. `from_edges` passes
+    None for them and keeps the sorted edge keys. Each form is derived from
+    the other on first use (docs/decisions.md, section 12).
+    """
+
+    # immutable, so keys, rows, neighbour sets, components, codegrees and cliques are memos
     __slots__ = (
-        "vertex_count", "adjacency", "_edge_keys", "_neighbor_sets", "_components", "_cliques"
+        "vertex_count", "_adjacency", "_edge_keys", "_neighbor_sets", "_components",
+        "_codegrees", "_cliques",
     )
 
-    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...]):
+    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...] | None):
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
-        if len(adjacency) != vertex_count:
+        if adjacency is not None and len(adjacency) != vertex_count:
             raise ValueError("adjacency length must equal vertex_count")
         self.vertex_count = vertex_count
-        self.adjacency = adjacency
+        self._adjacency = adjacency
         self._edge_keys: np.ndarray | None = None
         self._neighbor_sets: tuple[frozenset[int], ...] | None = None
         self._components: ComponentDecomposition | None = None
+        self._codegrees: tuple[np.ndarray, ...] | None = None
         self._cliques: tuple[tuple[Face, ...], ...] | None = None
 
     @classmethod
@@ -42,9 +49,8 @@ class Graph:
         Reversed and repeated pairs collapse to one edge. The pairs are checked
         all at once: a self-loop or out-of-range vertex raises ValueError naming
         the first such pair, and non-integer vertices raise TypeError. Both
-        directions are packed as u*n + v keys, sorted, and deduplicated, and
-        the sorted neighbours are cut into rows at the `searchsorted` offsets
-        (docs/decisions.md, section 8). The keys are kept as the `edge_keys` memo.
+        directions are packed as u*n + v keys, sorted, deduplicated and kept
+        as the `edge_keys` memo (docs/decisions.md, section 8).
         """
         n = vertex_count
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
@@ -64,10 +70,8 @@ class Graph:
             raise ValueError(f"edge ({a},{b}) out of range")
         key = np.sort(np.concatenate((u * n + v, v * n + u)), kind="stable")
         key = key[np.diff(key, prepend=-1) != 0]
-        rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
-        nbrs = (key % n).tolist()
-        g = cls(n, tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:])))
         key.flags.writeable = False
+        g = cls(n, None)
         g._edge_keys = key
         return g
 
@@ -77,11 +81,21 @@ class Graph:
         if self._edge_keys is None:
             n = self.vertex_count
             key = np.array(
-                [u * n + v for u, nbrs in enumerate(self.adjacency) for v in nbrs], dtype=np.int64
+                [u * n + v for u, nbrs in enumerate(self._adjacency) for v in nbrs], dtype=np.int64
             )
             key.flags.writeable = False
             self._edge_keys = key
         return self._edge_keys
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, cut from the keys at the `searchsorted` row offsets."""
+        if self._adjacency is None:
+            n, key = self.vertex_count, self._edge_keys
+            rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+            nbrs = (key % n).tolist()
+            self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:]))
+        return self._adjacency
 
     @property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
@@ -98,7 +112,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.edge_keys) // 2
 
     def validate(self) -> None:
         """Check symmetry, no self-loops, and index bounds; raise on violation."""
@@ -119,11 +133,11 @@ class Graph:
         return (
             isinstance(other, Graph)
             and self.vertex_count == other.vertex_count
-            and self.adjacency == other.adjacency
+            and np.array_equal(self.edge_keys, other.edge_keys)
         )
 
     def __hash__(self):
-        return hash((self.vertex_count, self.adjacency))
+        return hash((self.vertex_count, self.edge_keys.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.vertex_count}, edges={self.edge_count})"
@@ -251,28 +265,33 @@ class ComponentDecomposition:
 
 
 def components(g: Graph) -> ComponentDecomposition:
-    """Decompose `g` into connected components via BFS, once per graph.
+    """Decompose `g` into connected components, once per graph.
 
     Two vertices share a label iff they are joined by a path; the label is
-    the smallest vertex index in the component.
+    the smallest vertex index in the component. Each round hooks the larger
+    end label of every edge onto the smaller one (`np.minimum.at`), then
+    jumps pointers until every label is a root; it stops when no edge joins
+    two labels (docs/decisions.md, section 5).
     """
     if g._components is not None:
         return g._components
     n = g.vertex_count
-    label = [-1] * n
-    sizes: dict[int, int] = {}
-    for start in range(n):
-        if label[start] >= 0:
-            continue
-        label[start] = start
-        reached = [start]
-        for u in reached:
-            for v in g.adjacency[u]:
-                if label[v] < 0:
-                    label[v] = start
-                    reached.append(v)
-        sizes[start] = len(reached)
-    g._components = ComponentDecomposition(tuple(label), sizes)
+    u, v = np.divmod(g.edge_keys, n)
+    upper = u < v
+    u, v = u[upper], v[upper]
+    label = np.arange(n)
+    lu, lv = label[u], label[v]
+    while not np.array_equal(lu, lv):
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
+        lu, lv = label[u], label[v]
+    size = np.bincount(label, minlength=n)
+    roots = np.flatnonzero(size)
+    g._components = ComponentDecomposition(
+        tuple(label.tolist()), dict(zip(roots.tolist(), size[roots].tolist()))
+    )
     return g._components
 
 

@@ -214,7 +214,7 @@ def betti_numbers(
 
     rank d_1 comes from a union-find over the edges, so beta_0 is its
     component count. `experiments.instance_census` checks that count
-    against a BFS over the graph the complex was built from
+    against the components of the graph the complex was built from
     (docs/decisions.md, section 5).
     """
     require_prime_field(q)

@@ -14,7 +14,9 @@ from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from randcomplex import Graph
+from randcomplex import (
+    ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, geometric_graph, sample_points
+)
 from randcomplex.generators import cliques_of_order
 
 
@@ -248,6 +250,94 @@ def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
     return path2 // 2, star, spider
 
 
+def components_by_bfs(g: Graph) -> ComponentDecomposition:
+    """Components by BFS over the adjacency rows: the slow path of `complexes.components`."""
+    n = g.vertex_count
+    label = [-1] * n
+    sizes: dict[int, int] = {}
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = start
+        reached = [start]
+        for u in reached:
+            for v in g.adjacency[u]:
+                if label[v] < 0:
+                    label[v] = start
+                    reached.append(v)
+        sizes[start] = len(reached)
+    return ComponentDecomposition(tuple(label), sizes)
+
+
+def _is_cross_skeleton(nbrs, subset) -> bool:
+    """Induced subgraph is K_{2,..,2} iff every vertex misses exactly one other."""
+    sset = set(subset)
+    for u in subset:
+        missing = len(sset) - 1 - len(nbrs[u] & sset)
+        if missing != 1:
+            return False
+    return True
+
+
+def _pair_completions(cand: list[int], pairs_left: int, nbrs) -> int:
+    """Ways to split candidates into `pairs_left` ordered-by-minimum pairs.
+
+    Every chosen vertex must be adjacent to all later choices except its
+    own partner; `cand` already contains only vertices adjacent to all
+    earlier pairs.
+    """
+    if pairs_left == 0:
+        return 1
+    total = 0
+    for i, w in enumerate(cand):
+        rest = cand[i + 1 :]
+        if len(rest) < 2 * pairs_left - 1:
+            break
+        wn = nbrs[w]
+        for x in rest:
+            if x in wn:
+                continue
+            xn = nbrs[x]
+            nxt = [y for y in rest if y != x and y in wn and y in xn]
+            total += _pair_completions(nxt, pairs_left - 1, nbrs)
+    return total
+
+
+def cross_counts_by_pairs(g: Graph, k: int) -> tuple[int, int]:
+    """(o_k, o~_k) by pair-by-pair enumeration over neighbour sets: the slow path of
+    `census.cross_polytope_counts`.
+
+    Copies are enumerated in order of the pair minima: the smallest vertex u,
+    its non-neighbour partner v, then further pairs drawn from the common
+    neighbourhood. A component counts toward o~_k when every one of its
+    2k+2 vertices misses exactly one other.
+    """
+    size = 2 * k + 2
+    mindeg = size - 2
+    nbrs = g.neighbor_sets
+    o_induced = 0
+    for u in range(g.vertex_count):
+        un = nbrs[u]
+        if len(un) < mindeg:
+            continue
+        partners = set()
+        for w in un:
+            partners.update(x for x in nbrs[w] if x > u and x not in un)
+        for v in sorted(partners):
+            if len(nbrs[v]) < mindeg:
+                continue
+            cand = sorted(y for y in un & nbrs[v] if y > u and len(nbrs[y]) >= mindeg)
+            o_induced += _pair_completions(cand, k, nbrs)
+    comp = components_by_bfs(g)
+    groups: dict[int, list[int]] = {}
+    for v in range(g.vertex_count):
+        groups.setdefault(comp.component_id[v], []).append(v)
+    o_component = sum(
+        1 for verts in groups.values() if len(verts) == size and _is_cross_skeleton(nbrs, verts)
+    )
+    return o_induced, o_component
+
+
 def is_isomorphic(n: int, edges_a, edges_b) -> bool:
     ea = {frozenset(e) for e in edges_a}
     eb = {frozenset(e) for e in edges_b}
@@ -304,6 +394,27 @@ def brute_cross_counts(n: int, adj_sets, k: int) -> tuple[int, int]:
         if is_isomorphic(size, induced, pattern):
             o_comp += 1
     return o, o_comp
+
+
+def cross_polytope_zoo() -> dict[str, Graph]:
+    """Named graphs for the cross-polytope and component checks.
+
+    n = 0, 1, 2, edgeless graphs and K_n; C4 (O_1), the octahedron (O_2),
+    K_{2,2,2,2} (O_3) and an octahedron beside a C4; and three seeded dense
+    Rips graphs on 40 points, on streams picked for holding induced octahedra.
+    """
+    zoo = {f"edgeless-{n}": Graph.from_edges(n, []) for n in (0, 1, 2, 7)}
+    zoo.update({f"K{n}": Graph.from_edges(n, list(combinations(range(n), 2))) for n in (2, 3, 6)})
+    zoo["C4"] = Graph.from_edges(4, cross_polytope_edges(1))
+    zoo["octahedron"] = Graph.from_edges(6, cross_polytope_edges(2))
+    zoo["K2222"] = Graph.from_edges(8, cross_polytope_edges(3))
+    square = [(6 + u, 6 + v) for u, v in cross_polytope_edges(1)]
+    zoo["octahedron+C4"] = Graph.from_edges(10, cross_polytope_edges(2) + square)
+    spec = RegimeSpec(model="rips", k=2, n=40, d=2, alpha=20000.0)
+    for t in (0, 2, 4):  # o_2 = 24, 3 and 9
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(1, t))
+        zoo[f"dense-rips-{t}"] = geometric_graph(pts, spec.resolve_r())
+    return zoo
 
 
 def brute_subgraph_count(n: int, adj_sets, pattern_edges, v: int, induced: bool) -> int:

@@ -36,8 +36,10 @@ from randcomplex import (
     y_count,
     z_count,
 )
+from randcomplex import census
 from randcomplex.census import (
     MU_BLOCK_SIZE,
+    _codegrees,
     automorphism_count,
     connected_subsets,
     cross_polytope_skeleton,
@@ -47,6 +49,8 @@ from randcomplex.census import (
 from oracles import (
     brute_components,
     brute_cross_counts,
+    cross_counts_by_pairs,
+    cross_polytope_zoo,
     brute_empty_simplices,
     brute_faces_on_large_components,
     brute_isolated_empty_count,
@@ -276,6 +280,44 @@ def test_cross_counts_match_brute_force():
             assert cross_polytope_counts(g, k) == brute_cross_counts(
                 n, g.neighbor_sets, k
             )
+
+
+ZOO = cross_polytope_zoo()
+
+
+@pytest.mark.parametrize("name", list(ZOO))
+def test_cross_counts_match_enumerator_and_brute_force(name):
+    g = ZOO[name]
+    counts = [cross_polytope_counts(g, k) for k in (1, 2, 3)]
+    assert counts == [cross_counts_by_pairs(g, k) for k in (1, 2, 3)]
+    if g.vertex_count <= 10:
+        assert counts == [brute_cross_counts(g.vertex_count, g.neighbor_sets, k) for k in (1, 2, 3)]
+    if name.startswith("dense-rips"):
+        assert counts[1][0] > 0  # the pair graph holds triangles
+
+
+def test_cross_counts_on_unions_of_cross_polytopes():
+    # C(4, j+1) induced O_j in K_{2,2,2,2}; the C4 beside the octahedron is a whole component
+    assert [cross_polytope_counts(ZOO["K2222"], k) for k in (1, 2, 3)] == [(6, 0), (4, 0), (1, 1)]
+    assert [cross_polytope_counts(ZOO["octahedron+C4"], k) for k in (1, 2)] == [(4, 1), (1, 1)]
+
+
+def test_pair_graph_keys_stay_inside_int64(monkeypatch):
+    assert census._MAX_PAIRS**2 < 2**63 <= (census._MAX_PAIRS + 1) ** 2
+    g = octahedron_graph()  # three antipodal pairs: a pair graph on three vertices
+    monkeypatch.setattr(census, "_MAX_PAIRS", 2)
+    with pytest.raises(ValueError, match="n=6"):
+        cross_polytope_counts(g, 1)
+    monkeypatch.setattr(census, "_MAX_PAIRS", 3)
+    assert cross_polytope_counts(g, 1) == (3, 0)
+
+
+def test_codegrees_are_one_read_only_memo():
+    g = ZOO["dense-rips-0"]
+    memo = _codegrees(g)
+    assert _codegrees(g) is memo and len(memo) == 7
+    for a in memo:
+        assert not a.flags.writeable
 
 
 def test_cross_skeleton_pattern_is_self():

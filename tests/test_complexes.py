@@ -8,18 +8,22 @@ import numpy as np
 import pytest
 
 from randcomplex import (
+    DensitySpec,
     Graph,
     PointCloud,
+    RegimeSpec,
     RngStream,
     SimplicialComplex,
     clique_complex,
     components,
     f_vector,
     gen_er_graph,
+    geometric_graph,
+    sample_points,
     skeleton_graph,
 )
 
-from oracles import brute_adjacency, brute_components
+from oracles import brute_adjacency, brute_components, components_by_bfs, cross_polytope_zoo
 
 
 def test_components_two_disjoint_edges():
@@ -66,6 +70,39 @@ def test_components_match_union_find_oracle_and_permutation():
         assert sorted(dec2.component_sizes.values()) == sorted(
             dec.component_sizes.values()
         )
+
+
+def _benchmark_regime_graphs(count: int):
+    for spec in (
+        RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0),
+        RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0),
+        RegimeSpec(model="rips", k=2, n=150, d=2, alpha=1.0),
+    ):
+        for t in range(count):
+            pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(37, t))
+            yield geometric_graph(pts, spec.resolve_r())
+    p = RegimeSpec(model="er_clique", k=1, n=400, gamma=0.7).resolve_p()
+    for t in range(count):
+        yield gen_er_graph(400, p, RngStream(37, t))
+
+
+def test_components_match_bfs_oracle():
+    graphs = list(cross_polytope_zoo().values()) + list(_benchmark_regime_graphs(5))
+    for g in graphs:
+        got, want = components(g), components_by_bfs(g)
+        assert got.component_id == want.component_id
+        # same sizes, listed in the same order (by label)
+        assert list(got.component_sizes.items()) == list(want.component_sizes.items())
+
+
+def test_from_edges_builds_rows_only_on_demand():
+    g = Graph.from_edges(5, [(3, 1), (0, 4), (1, 0)])
+    rows = Graph(5, ((1, 4), (0, 3), (), (1,), (0,)))
+    assert g.edge_count == 3 and g == rows and hash(g) == hash(rows)
+    assert g != Graph(5, ((1,), (0, 3), (), (1,), ())) and g != Graph(6, rows.adjacency + ((),))
+    components(g)
+    assert g._adjacency is None and g._neighbor_sets is None
+    assert g.adjacency == rows.adjacency and g.neighbor_sets == rows.neighbor_sets
 
 
 def test_f_vector_k4():

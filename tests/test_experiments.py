@@ -522,49 +522,51 @@ def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
     assert text.endswith("--seed 31 --stream 0")
 
 
-@pytest.mark.parametrize("name", ["cech", "rips-k1"])
+@pytest.mark.parametrize("name", ["cech", "rips-k1", "er", "rips-k2"])
 def test_trial_builds_each_structure_once(monkeypatch, name):
-    """One BFS, one clique expansion and one graph build per trial."""
-    calls = {"bfs": 0, "cliques": 0, "from_edges": 0}
+    """One graph g with one component pass and one clique expansion; Rips adds one pair graph."""
+    built, expanded, decomposed = [], [], []
     decomposition = ComponentDecomposition
     expand, from_edges = generators._clique_faces, Graph.from_edges
 
     def counted_decomposition(*args):
-        calls["bfs"] += 1
+        decomposed.append(args)
         return decomposition(*args)
 
-    def counted_expand(*args):
-        calls["cliques"] += 1
-        return expand(*args)
+    def counted_expand(g, max_dim):
+        expanded.append(g)
+        return expand(g, max_dim)
 
     def counted_from_edges(vertex_count, edges):
-        calls["from_edges"] += 1
-        return from_edges(vertex_count, edges)
+        built.append(from_edges(vertex_count, edges))
+        return built[-1]
 
     monkeypatch.setattr("randcomplex.complexes.ComponentDecomposition", counted_decomposition)
     monkeypatch.setattr(generators, "_clique_faces", counted_expand)
     monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
     report = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
-    assert calls == {"bfs": 1, "cliques": 1, "from_edges": 1}
+    # g first, then the pair graph of cross_polytope_counts; each expanded once, in that order
+    assert len(built) == (2 if PIPELINE_SPECS[name].model == "rips" else 1)
+    assert [id(e) for e in expanded] == [id(b) for b in built]
+    assert len(decomposed) == 1
     monkeypatch.undo()
     assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
-@pytest.mark.parametrize(
-    "name, readers", [("cech", set()), ("rips-k1", {"cross_polytope_counts"})]
-)
-def test_trial_reads_neighbor_sets_only_for_cross_polytopes(monkeypatch, name, readers):
-    """Y, Z and the tree counts come from the edge keys, not the frozenset memo."""
+@pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
+@pytest.mark.parametrize("memo", ["adjacency", "neighbor_sets"])
+def test_trial_reads_no_per_vertex_memo(monkeypatch, memo, name):
+    """Every counter reads the edge keys: no trial builds neighbour rows or frozensets."""
     callers = []
-    build = Graph.neighbor_sets.fget
+    build = getattr(Graph, memo).fget
 
     def counted(g):
         callers.append(sys._getframe(1).f_code.co_name)
         return build(g)
 
-    monkeypatch.setattr(Graph, "neighbor_sets", property(counted))
+    monkeypatch.setattr(Graph, memo, property(counted))
     instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
-    assert set(callers) == readers
+    assert callers == []
 
 
 def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
