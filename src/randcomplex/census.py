@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from operator import itemgetter
 
 import numpy as np
 
@@ -350,11 +351,17 @@ def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
 def faces_on_large_components(
     c: SimplicialComplex, g: Graph, k: int, i: int
 ) -> int:
-    """Number of k-faces lying on connected components with at least i vertices."""
+    """Number of k-faces lying on connected components with at least i vertices.
+
+    A face lies on the component of its first vertex, so the count is one
+    read of the per-vertex component sizes at the first column of the faces.
+    """
     if not 0 <= k <= c.max_dim:
         raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
-    comp = components(g)
-    return sum(1 for face in c.faces[k] if comp.size_of(face[0]) >= i)
+    label = np.fromiter(components(g).component_id, dtype=np.int64, count=g.vertex_count)
+    size = np.bincount(label)[label]
+    first = np.fromiter(map(itemgetter(0), c.faces[k]), dtype=np.int64, count=len(c.faces[k]))
+    return int(np.count_nonzero(size[first] >= i))
 
 
 # ---------------------------------------------------------------------------

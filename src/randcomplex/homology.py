@@ -4,14 +4,18 @@ Betti numbers come from rank-nullity: beta_k = f_k - rank d_k - rank d_{k+1}.
 The working field is a prime q below 2^31; rank over GF(q) equals the
 rational rank unless q divides a torsion coefficient, which a second-prime
 pass detects. rank d_1 = f_0 - #components over every field, so
-`betti_numbers` counts it by union-find over the edges and reduces d_2 and
-up by one sparse column reduction; `betti_numbers_exact` runs Bareiss on
-every degree, d_1 included (docs/decisions.md, section 5).
+`betti_numbers` counts it by union-find over the edges. It reduces d_2 and
+up with one sparse column reduction, from the top degree down, and skips
+the columns of d_k that are pivot rows of d_{k+1} (clearing). The rows of
+each boundary come from `searchsorted` on face keys, one per dimension.
+`betti_numbers_exact` runs Bareiss on every degree, d_1 included
+(docs/decisions.md, section 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -67,39 +71,93 @@ class BoundaryMatrix:
         return mat
 
 
+def _face_array(c: SimplicialComplex, k: int) -> np.ndarray:
+    """The k-faces as one (f_k, k+1) int64 array, in the order of `c.faces[k]`."""
+    faces = c.faces[k]
+    flat = np.fromiter(chain.from_iterable(faces), dtype=np.int64, count=len(faces) * (k + 1))
+    return flat.reshape(len(faces), k + 1)
+
+
+def _face_rows(keys: list[np.ndarray | None], n: int, x: np.ndarray) -> np.ndarray:
+    """Rows in `c.faces[m - 1]` of the (m-1)-faces x[..., :m], m = len(keys).
+
+    keys[d] holds the sorted keys of the d-faces: a vertex is its own key,
+    and a d-face (v_0, ..., v_d) has key row(v_0..v_{d-1}) * n + v_d. One
+    `searchsorted` per dimension turns a key into a row; keys[0] is None
+    when the vertices are 0..n-1, each its own row.
+    """
+    row = x[..., 0]
+    for d, table in enumerate(keys):
+        key = row * n + x[..., d] if d else row
+        if table is None:
+            continue
+        row = np.searchsorted(table, key)
+        if not np.array_equal(np.append(table, -1)[row], key):
+            raise ValueError(f"a face of the complex misses one of its {d}-faces")
+    return row
+
+
+def _face_keys(
+    c: SimplicialComplex, top: int
+) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
+    """The face arrays of dimensions 1..top and the keys of dimensions 0..top-1.
+
+    Keys follow `_face_rows`. A d-face key is below f_{d-1} n, so every key
+    fits in int64 unless some f_d n >= 2^63, d <= top-2, which raises
+    ValueError (docs/decisions.md, section 5).
+    """
+    n = c.vertex_count
+    widest = max((len(c.faces[d]) for d in range(top - 1)), default=0)
+    if widest * n >= 2**63:
+        raise ValueError(f"face keys on n={n} vertices reach {widest}*n >= 2**63 (k={top})")
+    faces = [None]
+    keys = [None if len(c.faces[0]) == n else _face_array(c, 0)[:, 0]]
+    for d in range(1, top + 1):
+        faces.append(_face_array(c, d))
+        if d < top:
+            keys.append(_face_rows(keys, n, faces[d]) * n + faces[d][:, d])
+    return faces, keys
+
+
+def _deletions(faces: np.ndarray) -> np.ndarray:
+    """Entry (j, i) of the (f_k, k+1, k) result is k-face j without its i-th vertex.
+
+    Its row in the (k-1)-faces is row i of column j of d_k, with sign (-1)^i.
+    """
+    k = faces.shape[1] - 1
+    return faces[:, [[v for v in range(k + 1) if v != i] for i in range(k + 1)]]
+
+
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Standard simplicial boundary with alternating signs, 1 <= k <= max_dim."""
     if not 1 <= k <= c.max_dim:
         raise ValueError(f"k={k} out of range 1..{c.max_dim}")
-    row_index = {face: i for i, face in enumerate(c.faces[k - 1])}
-    entries = []
-    for j, face in enumerate(c.faces[k]):
-        for i in range(k + 1):
-            sub = face[:i] + face[i + 1 :]
-            entries.append((row_index[sub], j, -1 if i % 2 else 1))
-    return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
+    faces, keys = _face_keys(c, k)
+    rows = _face_rows(keys, c.vertex_count, _deletions(faces[k]))
+    entries = tuple(
+        (r, j, -1 if i % 2 else 1) for j, row in enumerate(rows.tolist()) for i, r in enumerate(row)
+    )
+    return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), entries)
 
 
-def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
+def _pivot_lows(cols: list[dict[int, int]], q: int, cleared) -> dict[int, dict[int, int]]:
     """Left-to-right column reduction (persistence-style) over GF(q).
 
-    Each column is reduced against the pivot column sharing its lowest
-    nonzero row until it gains a fresh pivot or vanishes; the number of
-    surviving columns is the rank. Boundary columns have k+1 entries, so
+    Each column whose index is not in `cleared` is reduced against the pivot
+    column sharing its lowest nonzero row until it gains a fresh pivot or
+    vanishes. Returns the pivot columns keyed by their lows, as many as the
+    rank of the uncleared columns. Boundary columns have k+1 entries, so
     fill-in stays small in practice.
     """
-    cols: list[dict[int, int]] = [dict() for _ in range(bm.col_count)]
-    for i, j, s in bm.entries:
-        cols[j][i] = s % q
     pivot_of_low: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in cols:
+    for j, col in enumerate(cols):
+        if j in cleared:
+            continue
         while col:
             low = max(col)
             piv = pivot_of_low.get(low)
             if piv is None:
                 pivot_of_low[low] = col
-                rank += 1
                 break
             factor = (col[low] * pow(piv[low], -1, q)) % q
             for row, val in piv.items():
@@ -108,7 +166,20 @@ def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
                     col[row] = nv
                 else:
                     col.pop(row, None)
-    return rank
+    return pivot_of_low
+
+
+def _columns(bm: BoundaryMatrix, q: int) -> list[dict[int, int]]:
+    """The columns of the matrix as {row: entry mod q} dicts."""
+    cols: list[dict[int, int]] = [dict() for _ in range(bm.col_count)]
+    for i, j, s in bm.entries:
+        cols[j][i] = s % q
+    return cols
+
+
+def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
+    """Rank over GF(q) by `_pivot_lows` on every column of the matrix."""
+    return len(_pivot_lows(_columns(bm, q), q, ()))
 
 
 def rank_gf(bm: BoundaryMatrix, q: int = DEFAULT_PRIME) -> int:
@@ -184,12 +255,11 @@ class BettiVector:
         return {"q": self.field_prime, "betti": list(self.betti), "ranks": list(self.ranks)}
 
 
-def _betti_from_ranks(c: SimplicialComplex, up_to: int | None, rank_of) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Betti numbers and ranks, with rank_of(k) giving rank d_k.
+def _resolve_up_to(c: SimplicialComplex, up_to: int | None) -> int:
+    """The top degree, by default max_dim - 1; it must lie in 0..max_dim - 1.
 
-    beta_k needs faces of dimension k+1 (the relations), so up_to (default
-    max_dim - 1) must lie in 0..max_dim - 1; a silently truncated complex
-    would inflate the top Betti number.
+    beta_k needs faces of dimension k+1 (the relations); a silently
+    truncated complex would inflate the top Betti number.
     """
     if up_to is None:
         up_to = c.max_dim - 1
@@ -197,14 +267,16 @@ def _betti_from_ranks(c: SimplicialComplex, up_to: int | None, rank_of) -> tuple
         raise ValueError(
             f"up_to={up_to} requires faces of dimension {up_to + 1}; complex has max_dim={c.max_dim}"
         )
+    return up_to
+
+
+def _betti_vector(c: SimplicialComplex, q: int | None, ranks: list[int]) -> BettiVector:
+    """beta_k = f_k - rank d_k - rank d_{k+1} for k = 0..len(ranks) - 2."""
     f = f_vector(c)
-    ranks = [0]
-    for k in range(1, up_to + 2):
-        ranks.append(rank_of(k))
-    betti = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(up_to + 1))
+    betti = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1))
     if any(b < 0 for b in betti):
         raise RuntimeError(f"negative Betti number from ranks {ranks}")
-    return betti, tuple(ranks)
+    return BettiVector(q, betti, tuple(ranks))
 
 
 def betti_numbers(
@@ -212,22 +284,32 @@ def betti_numbers(
 ) -> BettiVector:
     """Betti numbers beta_0..beta_{up_to} over GF(q) by boundary ranks.
 
-    rank d_1 comes from a union-find over the edges, so beta_0 is its
-    component count. `experiments.instance_census` checks that count
+    d_{up_to+1} is reduced first and d_2 last. A column of d_k whose index
+    is the low of a pivot of d_{k+1} reduces to zero, so it is skipped
+    (clearing). rank d_1 comes from a union-find over the edges, so beta_0
+    is its component count. `experiments.instance_census` checks that count
     against the components of the graph the complex was built from
     (docs/decisions.md, section 5).
     """
     require_prime_field(q)
-    betti, ranks = _betti_from_ranks(
-        c, up_to, lambda k: _rank_d1(c) if k == 1 else rank_gf(boundary_matrix(c, k), q)
-    )
-    return BettiVector(q, betti, ranks)
+    top = _resolve_up_to(c, up_to) + 1
+    ranks = [0] * (top + 1)
+    faces, keys = _face_keys(c, top)
+    lows = ()
+    for k in range(top, 1, -1):
+        rows = _face_rows(keys[:k], c.vertex_count, _deletions(faces[k]))
+        sign = [q - 1 if i % 2 else 1 for i in range(k + 1)]
+        lows = _pivot_lows([dict(zip(row, sign)) for row in rows.tolist()], q, lows)
+        ranks[k] = len(lows)
+    ranks[1] = _rank_d1(c)
+    return _betti_vector(c, q, ranks)
 
 
 def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> BettiVector:
     """Brute-force oracle: Betti numbers over Q by fraction-free elimination."""
-    betti, ranks = _betti_from_ranks(c, up_to, lambda k: _rank_exact(boundary_matrix(c, k)))
-    return BettiVector(None, betti, ranks)
+    top = _resolve_up_to(c, up_to) + 1
+    ranks = [0] + [_rank_exact(boundary_matrix(c, k)) for k in range(1, top + 1)]
+    return _betti_vector(c, None, ranks)
 
 
 def check_field_independence(

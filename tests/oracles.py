@@ -15,9 +15,11 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from randcomplex import (
-    ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, geometric_graph, sample_points
+    ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, cech_complex, clique_complex,
+    gen_er_graph, geometric_graph, sample_points
 )
 from randcomplex.generators import cliques_of_order
+from randcomplex.homology import BoundaryMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +269,57 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
                     reached.append(v)
         sizes[start] = len(reached)
     return ComponentDecomposition(tuple(label), sizes)
+
+
+# ---------------------------------------------------------------------------
+# Boundary matrices and the homology corpora
+# ---------------------------------------------------------------------------
+
+
+def boundary_matrix_by_dict(c, k: int) -> BoundaryMatrix:
+    """d_k with each row looked up in a {face: index} dict: the slow path of
+    `homology.boundary_matrix`."""
+    row_index = {face: i for i, face in enumerate(c.faces[k - 1])}
+    entries = []
+    for j, face in enumerate(c.faces[k]):
+        for i in range(k + 1):
+            sub = face[:i] + face[i + 1 :]
+            entries.append((row_index[sub], j, -1 if i % 2 else 1))
+    return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
+
+
+def c01_complexes():
+    """The 200 full clique complexes of acceptance criterion 1."""
+    gen = RngStream(101).generator()
+    for i in range(200):
+        p = (0.3, 0.5, 0.7)[i % 3]
+        n_hi = 13 if p < 0.7 else 11  # keeps the exact elimination quick
+        n = int(gen.integers(4, n_hi))
+        yield clique_complex(gen_er_graph(n, p, RngStream(102, i)), n - 1)
+
+
+def c03_complexes():
+    """The 1060 full-dimension ER, Rips and Čech complexes of acceptance criteria 3 and 4."""
+    gen = RngStream(103).generator()
+    for i in range(400):
+        n = int(gen.integers(4, 13))
+        p = float(gen.random() * 0.8 + 0.1)
+        yield clique_complex(gen_er_graph(n, p, RngStream(104, i)), n - 1)
+    for i in range(330):
+        pts = sample_points(60, DensitySpec("uniform_cube", 2), RngStream(105, i))
+        r = 0.03 + 0.06 * float(gen.random())
+        yield clique_complex(geometric_graph(pts, r), 12)
+    for i in range(330):
+        pts = sample_points(45, DensitySpec("uniform_cube", 2), RngStream(106, i))
+        r = 0.04 + 0.06 * float(gen.random())
+        yield cech_complex(pts, r, 10)
+
+
+def faces_on_large_components_by_size_of(c, g: Graph, k: int, i: int) -> int:
+    """Per-face `size_of` test of the first vertex: the slow path of
+    `census.faces_on_large_components`."""
+    comp = components_by_bfs(g)
+    return sum(1 for face in c.faces[k] if comp.size_of(face[0]) >= i)
 
 
 def _is_cross_skeleton(nbrs, subset) -> bool:

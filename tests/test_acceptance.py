@@ -33,9 +33,7 @@ from randcomplex import (
     f_vector,
     faces_on_large_components,
     gen_er_graph,
-    geometric_graph,
     run_experiment,
-    sample_points,
     subgraph_counts,
     tree_counts_order5,
     y_count,
@@ -43,7 +41,7 @@ from randcomplex import (
 )
 from randcomplex.census import tree_patterns_order5
 from randcomplex.cli import main as cli_main
-from randcomplex.generators import DensitySpec, cech_complex, cliques_of_order
+from randcomplex.generators import cliques_of_order
 
 from oracles import (
     brute_cross_counts,
@@ -51,6 +49,8 @@ from oracles import (
     brute_subgraph_count,
     brute_y_count,
     brute_z_count,
+    c01_complexes,
+    c03_complexes,
 )
 
 WORKERS = min(8, os.cpu_count() or 1)
@@ -67,14 +67,8 @@ def report(number: str, ok: bool, detail: str) -> None:
 def test_c01_homology_matches_exact_oracle():
     """GF(q) Betti numbers equal the rational oracle on 200 clique complexes."""
     start = time.time()
-    gen = RngStream(101).generator()
     checked = 0
-    for i in range(200):
-        p = (0.3, 0.5, 0.7)[i % 3]
-        n_hi = 13 if p < 0.7 else 11  # keeps the exact elimination quick
-        n = int(gen.integers(4, n_hi))
-        g = gen_er_graph(n, p, RngStream(102, i))
-        c = clique_complex(g, n - 1)
+    for i, c in enumerate(c01_complexes()):
         up_to = c.max_dim - 1
         fast = betti_numbers(c, up_to)
         exact = betti_numbers_exact(c, up_to)
@@ -104,23 +98,8 @@ def test_c02_known_spaces():
 
 def _full_dimension_corpus():
     """Full-dimension instances across the three models, with Betti vectors."""
-    gen = RngStream(103).generator()
-    corpus = []
-    for i in range(400):
-        n = int(gen.integers(4, 13))
-        p = float(gen.random() * 0.8 + 0.1)
-        g = gen_er_graph(n, p, RngStream(104, i))
-        corpus.append(clique_complex(g, n - 1))
-    for i in range(330):
-        pts = sample_points(60, DensitySpec("uniform_cube", 2), RngStream(105, i))
-        r = 0.03 + 0.06 * float(gen.random())
-        corpus.append(clique_complex(geometric_graph(pts, r), 12))
-    for i in range(330):
-        pts = sample_points(45, DensitySpec("uniform_cube", 2), RngStream(106, i))
-        r = 0.04 + 0.06 * float(gen.random())
-        corpus.append(cech_complex(pts, r, 10))
     out = []
-    for c in corpus:
+    for c in c03_complexes():
         f = f_vector(c)
         assert f[-1] == 0 or c.max_dim == c.vertex_count - 1, "corpus complex not full-dimension"
         out.append((c, f, betti_numbers(c, c.max_dim - 1).betti))

@@ -57,6 +57,7 @@ from oracles import (
     brute_subgraph_count,
     brute_y_count,
     brute_z_count,
+    faces_on_large_components_by_size_of,
     mu_quadrature_k3,
     tree_counts_by_centres,
     y_count_by_sets,
@@ -367,6 +368,22 @@ def test_faces_ge_matches_brute_force():
                     brute_faces_on_large_components(
                         n, list(g.edges()), c.faces[k], i
                     )
+                )
+
+
+def test_faces_ge_matches_size_of_oracle_on_regime_graphs():
+    # the ER and Rips k=1 graphs of the tree-count tests below
+    graphs = [
+        gen_er_graph(n, p, RngStream(331, 10 * n + j))
+        for n in range(15) for j, p in enumerate((0.0, 0.1, 0.25, 0.5, 0.75, 1.0))
+    ]
+    graphs += list(_regime_graphs(RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0), 333, 3))
+    for g in graphs:
+        c = clique_complex(g, 2)
+        for k in range(3):
+            for i in (1, 2, 3, 5, 7):
+                assert faces_on_large_components(c, g, k, i) == (
+                    faces_on_large_components_by_size_of(c, g, k, i)
                 )
 
 

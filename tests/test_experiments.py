@@ -513,7 +513,7 @@ def test_violation_names_trial_and_reproducing_census(monkeypatch, capsys):
 
 def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
     # ranks this large make a Betti number negative inside betti_numbers
-    monkeypatch.setattr(homology, "rank_gf", lambda bm, q=homology.DEFAULT_PRIME: 10**6)
+    monkeypatch.setattr(homology, "_pivot_lows", lambda cols, q, cleared: range(10**6))
     with pytest.raises(RuntimeError) as exc:
         run_experiment(PIPELINE_SPECS["rips-k2"], 2, 31)
     text = str(exc.value)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,21 @@ from randcomplex import (
     euler_characteristic,
     f_vector,
     gen_er_graph,
+    instance_census,
     rips_complex,
     sample_points,
 )
 from randcomplex.homology import (
     DEFAULT_PRIME,
+    _columns,
+    _pivot_lows,
     _rank_exact,
     _rank_sparse_gf,
     rank_gf,
     require_prime_field,
 )
+
+from oracles import boundary_matrix_by_dict, c01_complexes, c03_complexes
 
 
 def octahedron_graph() -> Graph:
@@ -180,6 +187,89 @@ def test_rank_depends_on_field_for_torsion():
     assert betti_numbers_exact(c, 2).betti == (1, 0, 0)
     _, _, agree = check_field_independence(c, 2)
     assert agree
+
+
+# The homology corpora, each with the SHA-256 of the ranks that `betti_numbers`
+# gave at q = 2, 3 and DEFAULT_PRIME before it cleared columns
+HOMOLOGY_CORPORA = {
+    "c01": (c01_complexes, "f658a172f2406127257ff82733497ceec28d201b3e27a0026180b5d6ce3505eb"),
+    "c03": (c03_complexes, "473d9956928179022373b43a1ca98d4feb3ac7914323b7983e4c9d7de9c2d562"),
+    "er-dense-k2": (
+        lambda: (clique_complex(gen_er_graph(16, 0.6, RngStream(41, t)), 3) for t in range(10)),
+        "2db23667d8951fa42f058e7a0bc554b77b5ee385283e997405696d4d79086a02",
+    ),
+    "er-dense-k3": (
+        lambda: (clique_complex(gen_er_graph(16, 0.6, RngStream(43, t)), 4) for t in range(10)),
+        "251cc09bbbdacddb61814098e9460a9552405620910f7727c7cce7568693e00f",
+    ),
+    "rp2": (
+        lambda: [real_projective_plane()],
+        "6f1a45f2764f807c6baa65d5b190113cf9fc3dbdad65f2f1996bd75b1bc6a1cf",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_CORPORA))
+def test_cleared_ranks_match_uncleared_exact_and_pinned(name):
+    """Clearing keeps every pivot low, so every rank, at q = 2, 3 and the default prime."""
+    make, pinned_digest = HOMOLOGY_CORPORA[name]
+    digest = hashlib.sha256()
+    for c in make():
+        bms = [boundary_matrix(c, k) for k in range(1, c.max_dim + 1)]
+        exact = [0] + [_rank_exact(bm) for bm in bms]
+        for q in (2, 3, DEFAULT_PRIME):
+            ranks = betti_numbers(c, q=q).ranks
+            digest.update(repr(ranks).encode())
+            assert list(ranks) == [0] + [_rank_sparse_gf(bm, q) for bm in bms]
+            if q == DEFAULT_PRIME or name != "rp2":
+                assert list(ranks) == exact
+            lows = ()
+            for bm in reversed(bms[1:]):
+                full = set(_pivot_lows(_columns(bm, q), q, ()))
+                cleared = set(_pivot_lows(_columns(bm, q), q, lows))
+                assert cleared == full
+                lows = cleared
+    assert digest.hexdigest() == pinned_digest
+
+
+@pytest.mark.parametrize("name", sorted(HOMOLOGY_CORPORA))
+def test_boundary_rows_match_dict_oracle(name):
+    for c in HOMOLOGY_CORPORA[name][0]():
+        for k in range(1, c.max_dim + 1):
+            assert boundary_matrix(c, k) == boundary_matrix_by_dict(c, k)
+
+
+def test_face_keys_stay_inside_int64():
+    """A d-face key is below f_{d-1} * n, so the bound is on face counts, not on n**k."""
+    faces = (((0,), (1,), (2,)), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
+    small = SimplicialComplex(3, faces, 2)
+    widest_n = (2**63 - 1) // 3  # edge keys stay below f_0 * n = 3 * n
+    for n in (2**32, widest_n):
+        big = SimplicialComplex(n, faces, 2)
+        assert boundary_matrix(big, 1) == boundary_matrix(small, 1)
+        assert boundary_matrix(big, 2) == boundary_matrix(small, 2)
+    with pytest.raises(ValueError, match=f"n={widest_n + 1} .*k=2"):
+        boundary_matrix(SimplicialComplex(widest_n + 1, faces, 2), 2)
+
+
+def test_rips_k4_runs_where_packed_keys_would_overflow():
+    """Rips k=4 at n=7,000 reduces d5, whose 4-faces would pack to n**5 > 2**63."""
+    n = 7000
+    spec = RegimeSpec("rips", 4, n, alpha=1)
+    assert n**5 >= 2**63
+    report = instance_census(spec, RngStream(1, 0))
+    assert report.f[5] > 0
+    pts = sample_points(n, DensitySpec("uniform_cube", 2), RngStream(1, 0))
+    c = rips_complex(pts, spec.resolve_r(), 5)
+    assert f_vector(c) == report.f
+    for k in (4, 5):
+        assert boundary_matrix(c, k) == boundary_matrix_by_dict(c, k)
+
+
+def test_boundary_needs_every_subface():
+    c = SimplicialComplex(3, (((0,), (1,), (2,)), ((0, 1), (1, 2)), ((0, 1, 2),)), 2)
+    with pytest.raises(ValueError, match="misses"):
+        boundary_matrix(c, 2)
 
 
 def test_euler_characteristic_examples():
