@@ -209,7 +209,7 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
         raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
     comp = components(g)
     if k == 2:
-        n, lonely = g.vertex_count, list(comp.component_sizes.values()).count(1)
+        n, lonely = g.vertex_count, int(np.count_nonzero(comp.size == 1))
         return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
     faces, facets = set(c.faces[k - 1]), set(c.faces[k - 2])
     s = s_iso = 0
@@ -342,9 +342,9 @@ def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
     found = (pairs.take(pos, mode="clip") == q) & (mx[i] < q)
     run = np.repeat(np.arange(len(pairs)), size)
     p = Graph.from_edges(len(pairs), np.column_stack((run[i[found]], pos[found])))
-    label = np.array(components(g).component_id, dtype=np.int64)
-    whole = np.bincount(label, minlength=n) == 2 * k + 2
-    regular = np.bincount(label[d == 2 * k], minlength=n) == 2 * k + 2
+    comp = components(g)
+    whole = comp.size == 2 * k + 2
+    regular = np.bincount(comp.label[d == 2 * k], minlength=n) == 2 * k + 2
     return len(cliques_of_order(p, k + 1)), int(np.count_nonzero(whole & regular))
 
 
@@ -358,8 +358,8 @@ def faces_on_large_components(
     """
     if not 0 <= k <= c.max_dim:
         raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
-    label = np.fromiter(components(g).component_id, dtype=np.int64, count=g.vertex_count)
-    size = np.bincount(label)[label]
+    comp = components(g)
+    size = comp.size[comp.label]
     first = np.fromiter(map(itemgetter(0), c.faces[k]), dtype=np.int64, count=len(c.faces[k]))
     return int(np.count_nonzero(size[first] >= i))
 

@@ -245,23 +245,35 @@ class SimplicialComplex:
         return f"SimplicialComplex(f={f_vector(self)}, max_dim={self.max_dim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentDecomposition:
-    """Connected components: per-vertex label and per-label size.
+    """Connected components: a per-vertex label array and a per-label size array.
 
     The label of a component is the smallest vertex index it contains, so
-    the decomposition is deterministic and permutation-covariant.
+    the decomposition is deterministic and permutation-covariant. `size[v]`
+    is the size of the component labelled v, and 0 when v is no label.
     """
 
-    component_id: tuple[int, ...]
-    component_sizes: dict[int, int]
+    label: np.ndarray
+    size: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.component_sizes)
+        return int(np.count_nonzero(self.size))
 
     def size_of(self, v: int) -> int:
-        return self.component_sizes[self.component_id[v]]
+        return int(self.size[self.label[v]])
+
+    @property
+    def component_id(self) -> tuple[int, ...]:
+        """The labels as a tuple, vertex by vertex."""
+        return tuple(self.label.tolist())
+
+    @property
+    def component_sizes(self) -> dict[int, int]:
+        """{label: size}, in increasing label order."""
+        roots = np.flatnonzero(self.size)
+        return dict(zip(roots.tolist(), self.size[roots].tolist()))
 
 
 def components(g: Graph) -> ComponentDecomposition:
@@ -288,10 +300,8 @@ def components(g: Graph) -> ComponentDecomposition:
             label, jumped = jumped, jumped[jumped]
         lu, lv = label[u], label[v]
     size = np.bincount(label, minlength=n)
-    roots = np.flatnonzero(size)
-    g._components = ComponentDecomposition(
-        tuple(label.tolist()), dict(zip(roots.tolist(), size[roots].tolist()))
-    )
+    label.flags.writeable = size.flags.writeable = False
+    g._components = ComponentDecomposition(label, size)
     return g._components
 
 

@@ -377,23 +377,20 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _poisson_log_pmf(j: int, lam: float) -> float:
-    return j * math.log(lam) - lam - math.lgamma(j + 1)
-
-
 def tv_to_poisson(samples, lam: float, weights=None) -> float:
     """Total variation distance between the empirical pmf and Poisson(lam).
 
     Summation runs from 0 to the first point where the Poisson upper tail
     drops below 1e-12 (and at least to the largest sample), so the cutoff
-    is deterministic. `weights` lets callers pass an exact pmf instead of
-    equal-weight samples.
+    is deterministic. Each mass is evaluated once, and the terms are added
+    in order of j (docs/decisions.md, section 13). `weights` lets callers
+    pass an exact pmf instead of equal-weight samples.
     """
     samples = list(samples)
     if not samples:
         raise ValueError("samples must be nonempty")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if not (lam > 0 and math.isfinite(lam)):
+        raise ValueError("lam must be positive and finite")
     if weights is None:
         weights = [1.0 / len(samples)] * len(samples)
     else:
@@ -406,18 +403,15 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
         if j < 0:
             raise ValueError("samples must be non-negative integers")
         emp[j] = emp.get(j, 0.0) + w
-    cutoff = max(emp)
-    cumulative = 0.0
-    j = 0
-    while cumulative < 1.0 - 1e-12:
-        cumulative += math.exp(_poisson_log_pmf(j, lam))
+    log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, max(emp)
+    cumulative = total = 0.0
+    j, tail = 0, True
+    while tail or j <= top:
+        p = math.exp(j * log_lam - lam - math.lgamma(j + 1))
+        cumulative += p
+        total += abs(emp.get(j, 0.0) - p)
         j += 1
-        if j > lam + 40.0 * math.sqrt(lam) + 100:
-            break
-    cutoff = max(cutoff, j - 1)
-    total = 0.0
-    for i in range(cutoff + 1):
-        total += abs(emp.get(i, 0.0) - math.exp(_poisson_log_pmf(i, lam)))
+        tail = tail and cumulative < 1.0 - 1e-12 and j <= far
     return 0.5 * total
 
 
@@ -430,8 +424,10 @@ def ks_to_normal(samples, center: float, scale: float) -> float:
     samples = list(samples)
     if not samples:
         raise ValueError("samples must be nonempty")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError("scale must be positive and finite")
+    if not math.isfinite(center):
+        raise ValueError("center must be finite")
     z = sorted((x - center) / scale for x in samples)
     m = len(z)
     d = 0.0

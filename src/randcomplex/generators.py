@@ -87,7 +87,7 @@ def _clique_faces(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
     lexicographic order (docs/decisions.md, section 9).
     """
     n = g.vertex_count
-    faces: list[tuple[Face, ...]] = [tuple((v,) for v in range(n))]
+    faces: list[tuple[Face, ...]] = [tuple(zip(range(n)))]
     if max_dim >= 1:
         keys = g.edge_keys
         u, v = np.divmod(keys, n)
@@ -146,37 +146,49 @@ def sample_points(n: int, density: DensitySpec, rng: RngStream) -> PointCloud:
     return PointCloud(density.dimension, pts, density.kind)
 
 
+# window pairs tested per array step of geometric_graph; bounds its scratch memory
+_WINDOW_BLOCK = 8192
+
+
 def geometric_graph(pts: PointCloud, r: float) -> Graph:
-    """Edge {i,j} iff |X_i - X_j| <= 2r (closed rule), by a sort-and-sweep.
+    """Edge {i,j} iff |X_i - X_j| <= 2r (closed rule), by a sort and a blocked gather.
 
     The points are sorted by their first coordinate, and each one is tested
-    only against the later points of its x-window. The test sums the squared
-    coordinate differences in float64 from 0.0, one coordinate at a time, and
-    keeps the pair when the sum is <= (2r)^2. The window is padded past the
-    largest x-gap that test can accept, so it never drops a kept pair
-    (docs/decisions.md, section 7). Expected work is near-linear in the sparse
-    regime and the code is the same for every n and d.
+    only against the later points of its x-window. The window pairs are
+    gathered by `np.repeat` over the window sizes, for a run of rows at a
+    time holding at most `_WINDOW_BLOCK` pairs (or one larger row). The test
+    sums the squared coordinate differences in float64 from 0.0, one
+    coordinate at a time, and keeps the pair when the sum is <= (2r)^2. The
+    window is padded past the largest x-gap that test can accept, so it
+    never drops a kept pair (docs/decisions.md, section 7).
     """
     if r <= 0:
         raise ValueError("r must be positive")
     P = pts.points
     n = P.shape[0]
     order = np.argsort(P[:, 0], kind="stable")
-    Q = P[order]
+    Q = P[order].T.copy()  # one contiguous row per coordinate
     limit_sq = (2.0 * r) * (2.0 * r)
     reach = np.sqrt(np.nextafter(limit_sq, np.inf)) * (1.0 + 1e-9)
-    ends = np.searchsorted(Q[:, 0], Q[:, 0] + reach, side="right")
-    span = ends - np.arange(n)
-    us, vs = [order[:0]], [order[:0]]  # never empty, also when no offset is tested
-    for s in range(1, int(np.max(span, initial=1))):
-        i = np.flatnonzero(span > s)
-        dist_sq = np.zeros(i.size)
-        for c in range(pts.dimension):
-            diff = Q[i + s, c] - Q[i, c]
+    ends = np.searchsorted(Q[0], Q[0] + reach, side="right")
+    # row i pairs with i+1..ends[i]-1; its pairs start at offset[i] of all window pairs
+    count = ends - np.arange(n) - 1
+    offset = np.concatenate(([0], np.cumsum(count)))
+    us, vs = [order[:0]], [order[:0]]  # never empty, also when no pair is tested
+    a = 0
+    while a < n:
+        b = max(int(np.searchsorted(offset, offset[a] + _WINDOW_BLOCK, side="right")) - 1, a + 1)
+        size = count[a:b]
+        i = np.repeat(np.arange(a, b), size)
+        j = i + 1 + np.arange(len(i)) - np.repeat(offset[a:b] - offset[a], size)
+        dist_sq = np.zeros(len(i))
+        for q in Q:
+            diff = q[j] - q[i]
             dist_sq += diff * diff
-        kept = i[dist_sq <= limit_sq]
-        us.append(order[kept])
-        vs.append(order[kept + s])
+        kept = dist_sq <= limit_sq
+        us.append(order[i[kept]])
+        vs.append(order[j[kept]])
+        a = b
     return Graph.from_edges(n, np.column_stack((np.concatenate(us), np.concatenate(vs))))
 
 

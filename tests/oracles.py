@@ -129,6 +129,34 @@ def er_graph_by_triu(n: int, p: float, rng):
     return Graph.from_edges(n, zip(iu[mask].tolist(), iv[mask].tolist()))
 
 
+def geometric_graph_by_offsets(pts, r: float) -> Graph:
+    """The closed-rule geometric graph by a per-offset sweep: the slow path of
+    `generators.geometric_graph`'s blocked gather.
+
+    Same stable x-sort, window ends and float test, but one array step per
+    offset s, over every sorted position i whose window reaches i + s.
+    """
+    P = pts.points
+    n = P.shape[0]
+    order = np.argsort(P[:, 0], kind="stable")
+    Q = P[order]
+    limit_sq = (2.0 * r) * (2.0 * r)
+    reach = np.sqrt(np.nextafter(limit_sq, np.inf)) * (1.0 + 1e-9)
+    ends = np.searchsorted(Q[:, 0], Q[:, 0] + reach, side="right")
+    span = ends - np.arange(n)
+    us, vs = [order[:0]], [order[:0]]
+    for s in range(1, int(np.max(span, initial=1))):
+        i = np.flatnonzero(span > s)
+        dist_sq = np.zeros(i.size)
+        for c in range(pts.dimension):
+            diff = Q[i + s, c] - Q[i, c]
+            dist_sq += diff * diff
+        kept = i[dist_sq <= limit_sq]
+        us.append(order[kept])
+        vs.append(order[kept + s])
+    return Graph.from_edges(n, np.column_stack((np.concatenate(us), np.concatenate(vs))))
+
+
 def brute_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples of the simple graph on the given pairs, by sets."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -256,7 +284,7 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
     """Components by BFS over the adjacency rows: the slow path of `complexes.components`."""
     n = g.vertex_count
     label = [-1] * n
-    sizes: dict[int, int] = {}
+    sizes = [0] * n
     for start in range(n):
         if label[start] >= 0:
             continue
@@ -268,7 +296,7 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
                     label[v] = start
                     reached.append(v)
         sizes[start] = len(reached)
-    return ComponentDecomposition(tuple(label), sizes)
+    return ComponentDecomposition(np.array(label, dtype=np.int64), np.array(sizes, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +576,34 @@ def brute_isolated_empty_count(points: np.ndarray, r: float, empties) -> int:
 # ---------------------------------------------------------------------------
 # Distribution oracles
 # ---------------------------------------------------------------------------
+
+
+def tv_to_poisson_two_pass(samples, lam: float, weights=None) -> float:
+    """`experiments.tv_to_poisson` as two loops, each mass evaluated once per loop:
+    the slow path of the one-pass distance, kept for bit-for-bit comparison."""
+    samples = list(samples)
+    if weights is None:
+        weights = [1.0 / len(samples)] * len(samples)
+    emp: dict[int, float] = {}
+    for x, w in zip(samples, weights):
+        emp[int(x)] = emp.get(int(x), 0.0) + w
+
+    def log_pmf(j: int) -> float:
+        return j * math.log(lam) - lam - math.lgamma(j + 1)
+
+    cutoff = max(emp)
+    cumulative = 0.0
+    j = 0
+    while cumulative < 1.0 - 1e-12:
+        cumulative += math.exp(log_pmf(j))
+        j += 1
+        if j > lam + 40.0 * math.sqrt(lam) + 100:
+            break
+    cutoff = max(cutoff, j - 1)
+    total = 0.0
+    for i in range(cutoff + 1):
+        total += abs(emp.get(i, 0.0) - math.exp(log_pmf(i)))
+    return 0.5 * total
 
 
 def poisson_pmf_direct(j: int, lam: float) -> float:

@@ -31,7 +31,7 @@ from randcomplex import (
 )
 from randcomplex.experiments import density_power_integral
 
-from oracles import poisson_pmf_direct, tv_between_poissons
+from oracles import poisson_pmf_direct, tv_between_poissons, tv_to_poisson_two_pass
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,26 @@ def test_tv_large_rate_no_underflow():
     assert 0.0 < v < 0.5
 
 
+def test_tv_one_pass_matches_two_loops_bit_for_bit():
+    gen = RngStream(409).generator()
+    lams = [1e-3, 0.1, 0.5, 1.0, 2.5, 7.0, 40.0, 3250.0, 4e4]
+    for lam in lams:
+        draws = gen.poisson(lam, size=25).tolist()
+        weights = gen.random(25).tolist()
+        cases = [
+            (draws, None),
+            (draws, weights),
+            ([0] * 10, None),
+            # samples past the cutoff, where the tail sum has already stopped
+            (draws + [int(lam + 60.0 * math.sqrt(lam) + 300)], None),
+            (list(range(60)), [poisson_pmf_direct(j, min(lam, 20.0)) for j in range(60)]),
+        ]
+        for samples, w in cases:
+            assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
+                tv_to_poisson_two_pass(samples, lam, weights=w)
+            )
+
+
 def test_tv_input_validation():
     with pytest.raises(ValueError):
         tv_to_poisson([], 1.0)
@@ -144,6 +164,9 @@ def test_tv_input_validation():
         tv_to_poisson([1, 2], 0.0)
     with pytest.raises(ValueError):
         tv_to_poisson([1, -2], 1.0)
+    for lam in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            tv_to_poisson([1, 2, 3], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +211,12 @@ def test_ks_input_validation():
         ks_to_normal([], 0.0, 1.0)
     with pytest.raises(ValueError):
         ks_to_normal([1.0], 0.0, 0.0)
+    for center in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            ks_to_normal([1, 2, 3], center, 1.0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            ks_to_normal([1, 2, 3], 0.0, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +505,8 @@ _UNION_FIND = homology._rank_d1
          "census inconsistency"),
         ("er", "homology._rank_d1", lambda c: _UNION_FIND(c) - 1,
          "beta_0=.* disagrees with component count"),
-        ("cech", "experiments.components", lambda g: ComponentDecomposition((), {}),
+        ("cech", "experiments.components",
+         lambda g: ComponentDecomposition(np.zeros(0, np.int64), np.zeros(0, np.int64)),
          "beta_0=.* disagrees with component count 0"),
     ],
     ids=["er-morse", "cech-sandwich", "rips-sandwich", "rips-tree-bound",

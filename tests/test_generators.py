@@ -17,12 +17,13 @@ from randcomplex import (
     clique_complex,
     f_vector,
     gen_er_graph,
+    generators,
     geometric_graph,
     rips_complex,
     sample_points,
 )
 
-from oracles import cliques_by_set_expansion, er_graph_by_triu
+from oracles import cliques_by_set_expansion, er_graph_by_triu, geometric_graph_by_offsets
 from randcomplex.experiments import RegimeSpec
 from randcomplex.generators import _clique_faces
 
@@ -190,7 +191,8 @@ def test_geometric_graph_rejects_nonpositive_radius():
         geometric_graph(pts, 0.0)
 
 
-def test_geometric_graph_matches_all_pairs_oracle():
+def _window_cases():
+    """Clouds that stress the x-window of geometric_graph (docs/decisions.md, section 7)."""
     gen = RngStream(42).generator()
     uniform = gen.random((500, 2))
     ties = gen.random((300, 2))
@@ -198,7 +200,7 @@ def test_geometric_graph_matches_all_pairs_oracle():
     # dyadic lattice at spacing 1/8 with 2r = 5/8: pairs exactly 2r apart along
     # x (5, 0), along y (0, 5) and diagonally (3, 4), all squared exactly
     lattice = np.indices((9, 9)).reshape(2, -1).T / 8.0
-    cases = [
+    return [
         (uniform, 0.05),
         (np.empty((0, 2)), 0.05),
         (np.array([[0.3, 0.4]]), 0.05),
@@ -208,7 +210,10 @@ def test_geometric_graph_matches_all_pairs_oracle():
         (np.array([[0.0, 0.0], [1e-163, 0.0], [3e-161, 0.0]]), 1e-170),
         (lattice, 5.0 / 16.0),
     ]
-    for P, r in cases:
+
+
+def test_geometric_graph_matches_all_pairs_oracle():
+    for P, r in _window_cases():
         n, d = P.shape
         g = geometric_graph(PointCloud(d, P), r)
         d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
@@ -222,6 +227,31 @@ def test_geometric_graph_matches_all_pairs_oracle():
         assert set(g.edges()) == brute
     # the closed rule keeps lattice pairs exactly 2r apart: (5,0), (0,5), (3,4), (4,3)
     assert {(0, 45), (0, 5), (0, 31), (0, 39)} <= brute
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, generators._WINDOW_BLOCK])
+def test_geometric_graph_matches_per_offset_sweep(monkeypatch, block):
+    """The blocked gather equals the per-offset sweep, also when blocks hold one row,
+    rows with no window pair, or rows larger than a block."""
+    monkeypatch.setattr(generators, "_WINDOW_BLOCK", block)
+    gen = RngStream(45).generator()
+    cases = _window_cases() + [
+        (gen.random((200, 3)), 0.1),  # d = 3
+        (gen.random((50, 4)), 0.3),  # d = 4
+        (gen.standard_normal((200, 3)), 0.25),
+        (gen.random((60, 2)), 1e6),  # huge r: every pair is an edge
+    ]
+    for P, r in cases:
+        pts = PointCloud(P.shape[1], P)
+        assert geometric_graph(pts, r) == geometric_graph_by_offsets(pts, r)
+    for spec, _ in BENCHMARK_REGIMES:
+        if spec.model == "er_clique":
+            continue
+        for t in range(3 if block < 8 else 20):
+            pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(47, t))
+            assert geometric_graph(pts, spec.resolve_r()) == geometric_graph_by_offsets(
+                pts, spec.resolve_r()
+            )
 
 
 def test_geometric_graph_gaussian_cloud_matches_oracle():
