@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
-from operator import itemgetter
 
 import numpy as np
 
@@ -211,9 +210,9 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     if k == 2:
         n, lonely = g.vertex_count, int(np.count_nonzero(comp.size == 1))
         return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
-    faces, facets = set(c.faces[k - 1]), set(c.faces[k - 2])
+    faces, facets = (set(map(tuple, c.faces[d].tolist())) for d in (k - 1, k - 2))
     s = s_iso = 0
-    for f in cliques_of_order(g, k):
+    for f in map(tuple, cliques_of_order(g, k).tolist()):
         if f not in faces and all(f[:i] + f[i + 1 :] in facets for i in range(k)):
             s += 1
             s_iso += comp.size_of(f[0]) == k
@@ -261,11 +260,7 @@ def _bases(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nda
     if k < 3:
         raise ValueError("k must be >= 3")
     n, (d, s, _, c, *_) = g.vertex_count, _codegrees(g)
-    if k == 3:  # the bases are the edges: the upper keys, with no tuple layer to convert
-        u, v = np.divmod(g.edge_keys, n)
-        base = np.column_stack((u, v))[u < v]
-    else:
-        base = np.array(cliques_of_order(g, k - 1), dtype=np.int64).reshape(-1, k - 1)
+    base = cliques_of_order(g, k - 1)
     at = [base[:, i] * n + base[:, j] for i, j in combinations(range(k - 1), 2)]
     return d, s, base, c[np.searchsorted(g.edge_keys, np.array(at))]
 
@@ -360,8 +355,7 @@ def faces_on_large_components(
         raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
     comp = components(g)
     size = comp.size[comp.label]
-    first = np.fromiter(map(itemgetter(0), c.faces[k]), dtype=np.int64, count=len(c.faces[k]))
-    return int(np.count_nonzero(size[first] >= i))
+    return int(np.count_nonzero(size[c.faces[k][:, 0]] >= i))
 
 
 # ---------------------------------------------------------------------------
@@ -671,6 +665,8 @@ def estimate_mu(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rho = full_intersection_radius
+    if not rho > 0:
+        raise ValueError(f"full_intersection_radius={rho} must be positive")
     hits = 0
     done = 0
     block = 0

@@ -2,45 +2,40 @@
 
 All types are immutable after construction and safe to share across worker
 processes. Vertex indices are 0-based everywhere, faces are strictly
-increasing tuples, and face lists are kept in lexicographic order so that
-every downstream count is deterministic.
+increasing int64 rows, and each face layer is kept in lexicographic order so
+that every downstream count is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
-Face = tuple[int, ...]
-
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1: sorted edge keys or sorted rows.
+    """Undirected simple graph on vertices 0..n-1, held as its sorted edge keys.
 
-    `Graph(n, adjacency)` keeps the sorted neighbour rows. `from_edges` passes
-    None for them and keeps the sorted edge keys. Each form is derived from
-    the other on first use (docs/decisions.md, section 12).
+    `from_edges` is the only constructor. The neighbour rows and sets are
+    lazy views of the keys (docs/decisions.md, section 12).
     """
 
-    # immutable, so keys, rows, neighbour sets, components, codegrees and cliques are memos
+    # immutable, so rows, neighbour sets, components, codegrees and cliques are memos
     __slots__ = (
-        "vertex_count", "_adjacency", "_edge_keys", "_neighbor_sets", "_components",
+        "vertex_count", "edge_keys", "_adjacency", "_neighbor_sets", "_components",
         "_codegrees", "_cliques",
     )
 
-    def __init__(self, vertex_count: int, adjacency: tuple[tuple[int, ...], ...] | None):
-        if vertex_count < 0:
-            raise ValueError("vertex_count must be non-negative")
-        if adjacency is not None and len(adjacency) != vertex_count:
-            raise ValueError("adjacency length must equal vertex_count")
+    def __init__(self, vertex_count: int, *, edge_keys: np.ndarray):
+        """Take the checked keys of `from_edges`; call that instead."""
         self.vertex_count = vertex_count
-        self._adjacency = adjacency
-        self._edge_keys: np.ndarray | None = None
+        self.edge_keys = edge_keys  # read-only sorted int64 keys u*n + v, one per ordered pair
+        self._adjacency: tuple[tuple[int, ...], ...] | None = None
         self._neighbor_sets: tuple[frozenset[int], ...] | None = None
         self._components: ComponentDecomposition | None = None
         self._codegrees: tuple[np.ndarray, ...] | None = None
-        self._cliques: tuple[tuple[Face, ...], ...] | None = None
+        self._cliques: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges) -> Graph:
@@ -50,9 +45,11 @@ class Graph:
         all at once: a self-loop or out-of-range vertex raises ValueError naming
         the first such pair, and non-integer vertices raise TypeError. Both
         directions are packed as u*n + v keys, sorted, deduplicated and kept
-        as the `edge_keys` memo (docs/decisions.md, section 8).
+        as `edge_keys` (docs/decisions.md, section 8).
         """
         n = vertex_count
+        if n < 0:
+            raise ValueError("vertex_count must be non-negative")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
@@ -71,27 +68,13 @@ class Graph:
         key = np.sort(np.concatenate((u * n + v, v * n + u)), kind="stable")
         key = key[np.diff(key, prepend=-1) != 0]
         key.flags.writeable = False
-        g = cls(n, None)
-        g._edge_keys = key
-        return g
-
-    @property
-    def edge_keys(self) -> np.ndarray:
-        """Read-only sorted int64 keys u*n + v, one per ordered pair of adjacent vertices."""
-        if self._edge_keys is None:
-            n = self.vertex_count
-            key = np.array(
-                [u * n + v for u, nbrs in enumerate(self._adjacency) for v in nbrs], dtype=np.int64
-            )
-            key.flags.writeable = False
-            self._edge_keys = key
-        return self._edge_keys
+        return cls(n, edge_keys=key)
 
     @property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples, cut from the keys at the `searchsorted` row offsets."""
         if self._adjacency is None:
-            n, key = self.vertex_count, self._edge_keys
+            n, key = self.vertex_count, self.edge_keys
             rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
             nbrs = (key % n).tolist()
             self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:]))
@@ -113,21 +96,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_keys) // 2
-
-    def validate(self) -> None:
-        """Check symmetry, no self-loops, and index bounds; raise on violation."""
-        for u, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not 0 <= v < self.vertex_count:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if v <= prev:
-                    raise ValueError(f"adjacency of {u} not strictly sorted")
-                prev = v
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"asymmetric edge ({u},{v})")
 
     def __eq__(self, other) -> bool:
         return (
@@ -172,54 +140,60 @@ class PointCloud:
 
 
 class SimplicialComplex:
-    """Faces grouped by dimension 0..max_dim, each a strictly increasing tuple.
+    """Faces grouped by dimension 0..max_dim, each layer one int64 array.
 
-    `faces[i]` is the lexicographically sorted tuple of all i-faces. The
-    dimension cap `max_dim` is fixed at construction: homology in degree k
-    needs faces up to k+1, and callers are expected to request no more than
-    they need.
+    `faces[i]` is a read-only (f_i, i+1) array whose rows are the i-faces,
+    each strictly increasing, in lexicographic order. The dimension cap
+    `max_dim` is fixed at construction: homology in degree k needs faces up
+    to k+1, and callers are expected to request no more than they need.
     """
 
     __slots__ = ("vertex_count", "faces", "max_dim")
 
-    def __init__(
-        self,
-        vertex_count: int,
-        faces: tuple[tuple[Face, ...], ...],
-        max_dim: int,
-    ):
+    def __init__(self, vertex_count: int, faces: tuple[np.ndarray, ...], max_dim: int):
         if max_dim < 0:
             raise ValueError("max_dim must be non-negative")
         if len(faces) != max_dim + 1:
             raise ValueError("faces must list every dimension 0..max_dim")
+        for i, layer in enumerate(faces):
+            ok = isinstance(layer, np.ndarray) and layer.dtype == np.int64
+            if not ok or layer.shape[1:] != (i + 1,):
+                raise ValueError(f"faces[{i}] must be an int64 array of shape (f_{i}, {i + 1})")
+            layer.flags.writeable = False
         self.vertex_count = vertex_count
-        self.faces = faces
+        self.faces = tuple(faces)
         self.max_dim = max_dim
 
     @classmethod
     def from_face_lists(
         cls, vertex_count: int, faces_by_dim, max_dim: int | None = None
     ) -> SimplicialComplex:
-        """Normalize, sort, pad with empty dimensions, and validate."""
-        groups = [sorted({tuple(f) for f in dim_faces}) for dim_faces in faces_by_dim]
+        """Normalize, sort, pad with empty dimensions, and validate.
+
+        Each face is any sequence of integer vertices; a non-integer vertex
+        raises TypeError and a face of the wrong length ValueError.
+        """
+        groups = [sorted({tuple(map(index, f)) for f in dim_faces}) for dim_faces in faces_by_dim]
         if max_dim is None:
             max_dim = max(len(groups) - 1, 0)
         while len(groups) <= max_dim:
             groups.append([])
-        c = cls(vertex_count, tuple(tuple(g) for g in groups), max_dim)
+        layers = (
+            np.array(g, dtype=np.int64) if g else np.empty((0, i + 1), dtype=np.int64)
+            for i, g in enumerate(groups)
+        )
+        c = cls(vertex_count, tuple(layers), max_dim)
         c.validate()
         return c
 
     def validate(self) -> None:
         """Check sortedness, downward closure, and the vertex set; raise on violation."""
-        if tuple((v,) for v in range(self.vertex_count)) != self.faces[0]:
+        if self.faces[0].tolist() != [[v] for v in range(self.vertex_count)]:
             raise ValueError("dimension-0 faces must be exactly the vertices")
         for dim in range(1, self.max_dim + 1):
-            below = set(self.faces[dim - 1])
-            prev: Face | None = None
-            for face in self.faces[dim]:
-                if len(face) != dim + 1:
-                    raise ValueError(f"face {face} has wrong length for dim {dim}")
+            below = set(map(tuple, self.faces[dim - 1].tolist()))
+            prev: tuple[int, ...] | None = None
+            for face in map(tuple, self.faces[dim].tolist()):
                 if any(face[i] >= face[i + 1] for i in range(dim)):
                     raise ValueError(f"face {face} not strictly increasing")
                 if prev is not None and face <= prev:
@@ -235,11 +209,11 @@ class SimplicialComplex:
             isinstance(other, SimplicialComplex)
             and self.vertex_count == other.vertex_count
             and self.max_dim == other.max_dim
-            and self.faces == other.faces
+            and all(map(np.array_equal, self.faces, other.faces))
         )
 
     def __hash__(self):
-        return hash((self.vertex_count, self.max_dim, self.faces))
+        return hash((self.vertex_count, self.max_dim, tuple(f.tobytes() for f in self.faces)))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(f={f_vector(self)}, max_dim={self.max_dim})"

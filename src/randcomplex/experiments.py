@@ -383,8 +383,10 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
     Summation runs from 0 to the first point where the Poisson upper tail
     drops below 1e-12 (and at least to the largest sample), so the cutoff
     is deterministic. Each mass is evaluated once, and the terms are added
-    in order of j (docs/decisions.md, section 13). `weights` lets callers
-    pass an exact pmf instead of equal-weight samples.
+    in order of j. The loop ends early past the mode and the largest sample
+    once twice the mass no longer moves the total, which keeps every bit
+    (docs/decisions.md, section 13). `weights` lets callers pass an exact
+    pmf instead of equal-weight samples.
     """
     samples = list(samples)
     if not samples:
@@ -410,6 +412,8 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
         p = math.exp(j * log_lam - lam - math.lgamma(j + 1))
         cumulative += p
         total += abs(emp.get(j, 0.0) - p)
+        if j > top and j > lam and p >= 2.0**-1022 and total + 2.0 * p == total:
+            break  # every later mass is below 2p, so adding it leaves the total's bits
         j += 1
         tail = tail and cumulative < 1.0 - 1e-12 and j <= far
     return 0.5 * total

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Face, Graph, PointCloud, SimplicialComplex
+from .complexes import Graph, PointCloud, SimplicialComplex
 from .miniball import RADIUS_RTOL, min_enclosing_radius
 
 DENSITY_KINDS = ("uniform_cube", "gaussian")
@@ -77,43 +77,46 @@ def gen_er_graph(n: int, p: float, rng: RngStream) -> Graph:
     return Graph.from_edges(n, np.column_stack((u, idx - starts[u] + u + 1)))
 
 
-def _clique_faces(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
+def _clique_faces(g: Graph, max_dim: int) -> tuple[np.ndarray, ...]:
     """All cliques of g grouped by dimension 0..max_dim, by ordered expansion.
 
-    Layer i is held as i+1 vertex columns of its faces. A face extends by
+    Layer i is a read-only (f_i, i+1) int64 array of faces. A face extends by
     each upper neighbour w of its last vertex that is adjacent to every other
     vertex f_j, tested by `searchsorted` of the key f_j*n + w in the sorted
     edge keys. Each clique is produced once, and every layer is in
     lexicographic order (docs/decisions.md, section 9).
     """
     n = g.vertex_count
-    faces: list[tuple[Face, ...]] = [tuple(zip(range(n)))]
+    layer = np.arange(n, dtype=np.int64)[:, None]
+    faces = [layer]
     if max_dim >= 1:
         keys = g.edge_keys
         u, v = np.divmod(keys, n)
         upper = u < v
         u, v = u[upper], v[upper]
         start = np.searchsorted(u, np.arange(n + 1))
-        cols = [u, v]
-        faces.append(tuple(zip(u.tolist(), v.tolist())))
+        layer = np.column_stack((u, v))
+        faces.append(layer)
         for _ in range(2, max_dim + 1):
-            first = start[cols[-1]]
-            count = start[cols[-1] + 1] - first
+            first = start[layer[:, -1]]
+            count = start[layer[:, -1] + 1] - first
             parent = np.repeat(np.arange(len(first)), count)
             # candidate t of a face is v[first + t] and lands at slot offset + t
             offset = np.cumsum(count) - count
             w = v[np.arange(len(parent)) + np.repeat(first - offset, count)]
             keep = np.ones(len(w), dtype=bool)
-            for col in cols[:-1]:
+            for col in layer[:, :-1].T:
                 q = col[parent] * n + w
                 keep &= keys.take(np.searchsorted(keys, q), mode="clip") == q
             parent = parent[keep]
-            cols = [col[parent] for col in cols] + [w[keep]]
-            faces.append(tuple(zip(*(col.tolist() for col in cols))))
+            layer = np.column_stack((layer[parent], w[keep]))
+            faces.append(layer)
+    for layer in faces:
+        layer.flags.writeable = False
     return tuple(faces)
 
 
-def _cliques_up_to(g: Graph, max_dim: int) -> tuple[tuple[Face, ...], ...]:
+def _cliques_up_to(g: Graph, max_dim: int) -> tuple[np.ndarray, ...]:
     """Unfiltered clique layers 0..max_dim, served from g's deepest expansion."""
     if g._cliques is None or len(g._cliques) <= max_dim:
         g._cliques = _clique_faces(g, max_dim)
@@ -127,11 +130,11 @@ def clique_complex(g: Graph, max_dim: int) -> SimplicialComplex:
     return SimplicialComplex(g.vertex_count, _cliques_up_to(g, max_dim), max_dim)
 
 
-def cliques_of_order(g: Graph, m: int) -> list[Face]:
-    """All cliques on exactly m vertices (m >= 1), in lexicographic order."""
+def cliques_of_order(g: Graph, m: int) -> np.ndarray:
+    """All cliques on exactly m vertices (m >= 1): g's read-only (count, m) memo layer."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return list(_cliques_up_to(g, m - 1)[m - 1])
+    return _cliques_up_to(g, m - 1)[m - 1]
 
 
 def sample_points(n: int, density: DensitySpec, rng: RngStream) -> PointCloud:
@@ -227,8 +230,7 @@ def cech_complex(
     cliques = _cliques_up_to(g, max_dim)
     faces = list(cliques[:2])
     for layer in cliques[2:]:
-        kept = set(faces[-1])
-        faces.append(
-            tuple(f for f in layer if f[:-1] in kept and balls_intersect(P[list(f)], r))
-        )
+        kept = set(map(tuple, faces[-1].tolist()))
+        keep = [tuple(f[:-1]) in kept and balls_intersect(P[f], r) for f in layer.tolist()]
+        faces.append(layer[np.array(keep, dtype=bool)])
     return SimplicialComplex(g.vertex_count, tuple(faces), max_dim)

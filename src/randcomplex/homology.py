@@ -15,7 +15,6 @@ each boundary come from `searchsorted` on face keys, one per dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -71,13 +70,6 @@ class BoundaryMatrix:
         return mat
 
 
-def _face_array(c: SimplicialComplex, k: int) -> np.ndarray:
-    """The k-faces as one (f_k, k+1) int64 array, in the order of `c.faces[k]`."""
-    faces = c.faces[k]
-    flat = np.fromiter(chain.from_iterable(faces), dtype=np.int64, count=len(faces) * (k + 1))
-    return flat.reshape(len(faces), k + 1)
-
-
 def _face_rows(keys: list[np.ndarray | None], n: int, x: np.ndarray) -> np.ndarray:
     """Rows in `c.faces[m - 1]` of the (m-1)-faces x[..., :m], m = len(keys).
 
@@ -97,26 +89,21 @@ def _face_rows(keys: list[np.ndarray | None], n: int, x: np.ndarray) -> np.ndarr
     return row
 
 
-def _face_keys(
-    c: SimplicialComplex, top: int
-) -> tuple[list[np.ndarray | None], list[np.ndarray | None]]:
-    """The face arrays of dimensions 1..top and the keys of dimensions 0..top-1.
+def _face_keys(c: SimplicialComplex, top: int) -> list[np.ndarray | None]:
+    """The keys of the faces of dimensions 0..top-1, as `_face_rows` reads them.
 
-    Keys follow `_face_rows`. A d-face key is below f_{d-1} n, so every key
-    fits in int64 unless some f_d n >= 2^63, d <= top-2, which raises
-    ValueError (docs/decisions.md, section 5).
+    A d-face key is below f_{d-1} n, so every key fits in int64 unless some
+    f_d n >= 2^63, d <= top-2, which raises ValueError (docs/decisions.md,
+    section 5).
     """
     n = c.vertex_count
     widest = max((len(c.faces[d]) for d in range(top - 1)), default=0)
     if widest * n >= 2**63:
         raise ValueError(f"face keys on n={n} vertices reach {widest}*n >= 2**63 (k={top})")
-    faces = [None]
-    keys = [None if len(c.faces[0]) == n else _face_array(c, 0)[:, 0]]
-    for d in range(1, top + 1):
-        faces.append(_face_array(c, d))
-        if d < top:
-            keys.append(_face_rows(keys, n, faces[d]) * n + faces[d][:, d])
-    return faces, keys
+    keys = [None if len(c.faces[0]) == n else c.faces[0][:, 0]]
+    for d in range(1, top):
+        keys.append(_face_rows(keys, n, c.faces[d]) * n + c.faces[d][:, d])
+    return keys
 
 
 def _deletions(faces: np.ndarray) -> np.ndarray:
@@ -132,8 +119,7 @@ def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Standard simplicial boundary with alternating signs, 1 <= k <= max_dim."""
     if not 1 <= k <= c.max_dim:
         raise ValueError(f"k={k} out of range 1..{c.max_dim}")
-    faces, keys = _face_keys(c, k)
-    rows = _face_rows(keys, c.vertex_count, _deletions(faces[k]))
+    rows = _face_rows(_face_keys(c, k), c.vertex_count, _deletions(c.faces[k]))
     entries = tuple(
         (r, j, -1 if i % 2 else 1) for j, row in enumerate(rows.tolist()) for i, r in enumerate(row)
     )
@@ -192,7 +178,7 @@ def _rank_d1(c: SimplicialComplex) -> int:
     """rank d_1 = f_0 - #components: the edges that join two union-find trees."""
     parent = list(range(c.vertex_count))
     rank = 0
-    for u, v in c.faces[1]:
+    for u, v in c.faces[1].tolist():
         while parent[u] != u:  # find with path halving
             parent[u] = parent[parent[u]]
             u = parent[u]
@@ -294,10 +280,10 @@ def betti_numbers(
     require_prime_field(q)
     top = _resolve_up_to(c, up_to) + 1
     ranks = [0] * (top + 1)
-    faces, keys = _face_keys(c, top)
+    keys = _face_keys(c, top)
     lows = ()
     for k in range(top, 1, -1):
-        rows = _face_rows(keys[:k], c.vertex_count, _deletions(faces[k]))
+        rows = _face_rows(keys[:k], c.vertex_count, _deletions(c.faces[k]))
         sign = [q - 1 if i % 2 else 1 for i in range(k + 1)]
         lows = _pivot_lows([dict(zip(row, sign)) for row in rows.tolist()], q, lows)
         ranks[k] = len(lows)

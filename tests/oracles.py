@@ -157,6 +157,11 @@ def geometric_graph_by_offsets(pts, r: float) -> Graph:
     return Graph.from_edges(n, np.column_stack((np.concatenate(us), np.concatenate(vs))))
 
 
+def face_tuples(layer: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a face layer as tuples of ints, in order."""
+    return list(map(tuple, layer.tolist()))
+
+
 def brute_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples of the simple graph on the given pairs, by sets."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -307,9 +312,9 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
 def boundary_matrix_by_dict(c, k: int) -> BoundaryMatrix:
     """d_k with each row looked up in a {face: index} dict: the slow path of
     `homology.boundary_matrix`."""
-    row_index = {face: i for i, face in enumerate(c.faces[k - 1])}
+    row_index = {face: i for i, face in enumerate(face_tuples(c.faces[k - 1]))}
     entries = []
-    for j, face in enumerate(c.faces[k]):
+    for j, face in enumerate(face_tuples(c.faces[k])):
         for i in range(k + 1):
             sub = face[:i] + face[i + 1 :]
             entries.append((row_index[sub], j, -1 if i % 2 else 1))
@@ -347,7 +352,7 @@ def faces_on_large_components_by_size_of(c, g: Graph, k: int, i: int) -> int:
     """Per-face `size_of` test of the first vertex: the slow path of
     `census.faces_on_large_components`."""
     comp = components_by_bfs(g)
-    return sum(1 for face in c.faces[k] if comp.size_of(face[0]) >= i)
+    return sum(1 for face in c.faces[k].tolist() if comp.size_of(face[0]) >= i)
 
 
 def _is_cross_skeleton(nbrs, subset) -> bool:
@@ -603,6 +608,28 @@ def tv_to_poisson_two_pass(samples, lam: float, weights=None) -> float:
     total = 0.0
     for i in range(cutoff + 1):
         total += abs(emp.get(i, 0.0) - math.exp(log_pmf(i)))
+    return 0.5 * total
+
+
+def tv_to_poisson_full_tail(samples, lam: float, weights=None) -> float:
+    """`experiments.tv_to_poisson` without its early exit: one pass that runs to
+    the 1 - 1e-12 tail or the lam + 40 sqrt(lam) + 100 guard, kept for
+    bit-for-bit comparison."""
+    samples = list(samples)
+    if weights is None:
+        weights = [1.0 / len(samples)] * len(samples)
+    emp: dict[int, float] = {}
+    for x, w in zip(samples, weights):
+        emp[int(x)] = emp.get(int(x), 0.0) + w
+    log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, max(emp)
+    cumulative = total = 0.0
+    j, tail = 0, True
+    while tail or j <= top:
+        p = math.exp(j * log_lam - lam - math.lgamma(j + 1))
+        cumulative += p
+        total += abs(emp.get(j, 0.0) - p)
+        j += 1
+        tail = tail and cumulative < 1.0 - 1e-12 and j <= far
     return 0.5 * total
 
 

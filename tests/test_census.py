@@ -235,9 +235,9 @@ def test_yz_on_complete_graphs(k):
         Graph.from_edges(6, []),
         path_graph(7),  # edges but no triangle, so no base for k >= 4
         cycle_graph(4),
-        Graph(3, ((1,), (0,), ())),  # keys derived from the rows, not from_edges
+        Graph.from_edges(3, [(1, 0)]),  # one edge beside an isolated vertex
     ],
-    ids=["n0", "n1", "edgeless", "path", "square", "rows"],
+    ids=["n0", "n1", "edgeless", "path", "square", "one-edge"],
 )
 def test_yz_and_trees_on_triangle_free_graphs(g):
     # no base clique for k >= 4, and none for k = 3 without an edge
@@ -680,6 +680,16 @@ def test_mu_d1_vanishes_with_quadrature_oracle():
 def test_mu_raised_threshold_vanishes():
     est = estimate_mu(3, 2, 50_000, RngStream(607), full_intersection_radius=4.0)
     assert est.value == 0.0
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_mu_rejects_a_non_positive_full_radius_for_every_k(k):
+    # k = 3 and k = 4 take different hit paths; both must refuse up front
+    for rho in (0.0, -1.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="full_intersection_radius"):
+            estimate_mu(k, 2, 2_000, RngStream(1), full_intersection_radius=rho)
+    null = estimate_mu(k, 2, 2_000, RngStream(1), full_intersection_radius=math.inf)
+    assert (null.hits, null.value) == (0, 0.0)
 
 
 def test_mu_two_seeds_agree():

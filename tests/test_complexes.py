@@ -97,12 +97,14 @@ def test_components_match_bfs_oracle():
 
 def test_from_edges_builds_rows_only_on_demand():
     g = Graph.from_edges(5, [(3, 1), (0, 4), (1, 0)])
-    rows = Graph(5, ((1, 4), (0, 3), (), (1,), (0,)))
-    assert g.edge_count == 3 and g == rows and hash(g) == hash(rows)
-    assert g != Graph(5, ((1,), (0, 3), (), (1,), ())) and g != Graph(6, rows.adjacency + ((),))
+    same = Graph.from_edges(5, [(0, 1), (1, 3), (4, 0), (3, 1)])
+    rows = ((1, 4), (0, 3), (), (1,), (0,))
+    assert g.edge_count == 3 and g == same and hash(g) == hash(same)
+    assert g != Graph.from_edges(5, [(0, 1), (1, 3)])
+    assert g != Graph.from_edges(6, [(0, 1), (1, 3), (0, 4)])
     components(g)
     assert g._adjacency is None and g._neighbor_sets is None
-    assert g.adjacency == rows.adjacency and g.neighbor_sets == rows.neighbor_sets
+    assert g.adjacency == rows and g.neighbor_sets == tuple(map(frozenset, rows))
 
 
 def test_f_vector_k4():
@@ -132,21 +134,25 @@ def test_graph_validation():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 5)])
-    g = Graph(2, ((1,), ()))
-    with pytest.raises(ValueError):
-        g.validate()  # asymmetric
-    Graph.from_edges(3, [(0, 1), (1, 0)]).validate()  # duplicates collapse
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(TypeError):
+        Graph(2, ((1,), ()))  # no rows constructor: from_edges checks every pair
+    # duplicates collapse
+    assert Graph.from_edges(3, [(0, 1), (1, 0)]).adjacency == ((1,), (0,), ())
 
 
 def test_from_edges_reads_every_input_form_alike():
     pairs = [(0, 3), (3, 0), (1, 2), (1, 2), (4, 1), (0, 3), (2, 0)]
-    expected = Graph(5, brute_adjacency(5, pairs))
-    forms = [pairs, (e for e in pairs), tuple(pairs), np.array(pairs), np.array(pairs, np.int32)]
+    expected = Graph.from_edges(5, pairs)
+    assert expected.adjacency == brute_adjacency(5, pairs)
+    forms = [(e for e in pairs), tuple(pairs), np.array(pairs), np.array(pairs, np.int32)]
     for edges in forms:
         assert Graph.from_edges(5, edges) == expected
     for n in (0, 4):
         for edges in ([], (), iter(()), np.empty((0, 2), dtype=np.int64)):
-            assert Graph.from_edges(n, edges) == Graph(n, ((),) * n)
+            g = Graph.from_edges(n, edges)
+            assert g.edge_count == 0 and g.adjacency == ((),) * n
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(0, [(0, 1)])
     gen = RngStream(32).generator()
@@ -155,7 +161,7 @@ def test_from_edges_reads_every_input_form_alike():
         edges = [tuple(e) for e in gen.integers(0, n, size=(int(gen.integers(0, 80)), 2))]
         edges = [(u, v) for u, v in edges if u != v]
         g = Graph.from_edges(n, edges)
-        g.validate()
+        assert np.all(np.diff(g.edge_keys) > 0)
         assert g.adjacency == brute_adjacency(n, edges)
 
 
@@ -163,14 +169,15 @@ def test_edge_keys_memo_is_read_only_and_outside_equality():
     gen = RngStream(33).generator()
     for n in (0, 1, 2, 9, 30):
         edges = gen.integers(0, max(n, 1), size=(3 * n, 2))
-        built = Graph.from_edges(n, edges[edges[:, 0] != edges[:, 1]])
-        bare = Graph(n, built.adjacency)
-        assert bare._edge_keys is None and built._edge_keys is not None
-        # a filled memo changes neither equality nor the hash
+        pairs = edges[edges[:, 0] != edges[:, 1]]
+        built, bare = Graph.from_edges(n, pairs), Graph.from_edges(n, pairs[::-1, ::-1])
+        built.adjacency, components(built), clique_complex(built, 2)
+        assert built._adjacency is not None and bare._adjacency is None
+        # filled memos change neither equality nor the hash
         assert built == bare and hash(built) == hash(bare)
-        assert np.array_equal(bare.edge_keys, built.edge_keys)
+        rows = brute_adjacency(n, pairs.tolist())
+        assert built.edge_keys.tolist() == [u * n + v for u, nbrs in enumerate(rows) for v in nbrs]
         assert built.edge_keys.dtype == bare.edge_keys.dtype == np.int64
-        assert bare == Graph(n, built.adjacency) and hash(bare) == hash(Graph(n, built.adjacency))
         for keys in (built.edge_keys, bare.edge_keys):
             assert not keys.flags.writeable
             if keys.size:
@@ -208,6 +215,69 @@ def test_complex_validation_rejects_missing_subface():
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
     )
     assert c.max_dim == 2
+
+
+def _assert_face_form(c: SimplicialComplex):
+    assert len(c.faces) == c.max_dim + 1
+    for i, layer in enumerate(c.faces):
+        assert isinstance(layer, np.ndarray) and layer.dtype == np.int64
+        assert layer.shape == (len(layer), i + 1) and not layer.flags.writeable
+        rows = layer.tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
+        assert all(row == sorted(set(row)) for row in rows)
+        if len(layer):
+            with pytest.raises(ValueError):
+                layer[0, 0] = 0
+
+
+def test_every_constructor_gives_read_only_int64_face_arrays():
+    from randcomplex import cech_complex, rips_complex
+    from randcomplex.generators import cliques_of_order
+
+    built = []
+    for n in (0, 1, 2, 12):
+        pts = sample_points(n, DensitySpec("uniform_cube", 2), RngStream(34, n))
+        g = geometric_graph(pts, 0.2)
+        # max_dim 4 leaves empty top layers at every n
+        built += [clique_complex(g, 4), cech_complex(pts, 0.2, 4), rips_complex(pts, 0.2, 4)]
+        for m in range(1, 6):
+            memo = cliques_of_order(g, m)
+            assert memo is g._cliques[m - 1] and memo is cliques_of_order(g, m)
+            assert memo.dtype == np.int64 and memo.shape == (len(memo), m)
+            assert not memo.flags.writeable
+            if len(memo):
+                with pytest.raises(ValueError):
+                    memo[0, 0] = 0
+    built += [
+        SimplicialComplex.from_face_lists(0, [[]], max_dim=2),
+        SimplicialComplex.from_face_lists(1, [[(0,)]], max_dim=1),
+        SimplicialComplex.from_face_lists(3, [[[2], (0,), (1,)], [(1, 2), (0, 2), (0, 1)]]),
+        SimplicialComplex.from_face_lists(3, [[(0,), (1,), (2,)], [np.array([0, 1])]], max_dim=3),
+    ]
+    assert sum(c.vertex_count == 0 for c in built) >= 4
+    for c in built:
+        _assert_face_form(c)
+        assert c == SimplicialComplex.from_face_lists(c.vertex_count, c.faces, c.max_dim)
+        assert hash(c) == hash(SimplicialComplex.from_face_lists(c.vertex_count, c.faces))
+
+
+def test_complex_refuses_a_layer_of_the_wrong_form():
+    vertices, edges = np.arange(3, dtype=np.int64)[:, None], np.array([[0, 1]], dtype=np.int64)
+    bad = [
+        (vertices, np.array([[0, 1, 2]], dtype=np.int64)),  # an edge layer of width 3
+        (vertices, np.array([0, 1], dtype=np.int64)),  # one-dimensional
+        (vertices.ravel(), edges),
+        (vertices, edges.astype(np.int32)),
+        (vertices, ((0, 1),)),  # tuples, not an array
+    ]
+    for faces in bad:
+        with pytest.raises(ValueError, match="int64 array of shape"):
+            SimplicialComplex(3, faces, 1)
+    with pytest.raises(ValueError):
+        SimplicialComplex.from_face_lists(3, [[(0,), (1,), (2,)], [(0, 1, 2)]])
+    with pytest.raises(TypeError):
+        SimplicialComplex.from_face_lists(2, [[(0,), (1,)], [(0, 1.0)]])
+    assert SimplicialComplex(3, (vertices, edges), 1).faces[1].tolist() == [[0, 1]]
 
 
 def test_point_cloud_validation():

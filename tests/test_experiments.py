@@ -31,7 +31,9 @@ from randcomplex import (
 )
 from randcomplex.experiments import density_power_integral
 
-from oracles import poisson_pmf_direct, tv_between_poissons, tv_to_poisson_two_pass
+from oracles import (
+    poisson_pmf_direct, tv_between_poissons, tv_to_poisson_full_tail, tv_to_poisson_two_pass
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,31 @@ def test_tv_one_pass_matches_two_loops_bit_for_bit():
             assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
                 tv_to_poisson_two_pass(samples, lam, weights=w)
             )
+
+
+def test_tv_tail_exit_matches_full_loop_bit_for_bit(monkeypatch):
+    gen = RngStream(410).generator()
+    lams = sorted({1e-3, 0.3, 1.0, 40.0, 3250.3, 3860.0, 4e4} | set(10 ** gen.uniform(-3, 4.6, 20)))
+    for lam in lams:
+        draws = gen.poisson(lam, size=10).tolist()
+        cases = [
+            (draws, None),
+            (draws, gen.random(10).tolist()),
+            ([0] * 5, None),
+            ([int(lam)] * 3, None),
+            (draws + [int(lam + 60.0 * math.sqrt(lam) + 300)], None),
+            (gen.poisson(1.3 * lam, size=20).tolist(), None),
+        ]
+        for samples, w in cases:
+            assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
+                tv_to_poisson_full_tail(samples, lam, weights=w)
+            )
+    # the exit fires where the running mass never reaches 1 - 1e-12
+    masses, lgamma = [], math.lgamma
+    monkeypatch.setattr(experiments.math, "lgamma", lambda x: masses.append(x) or lgamma(x))
+    draws = RngStream(411).generator().poisson(3860.0, size=10).tolist()
+    tv_to_poisson(draws, 3860.0)
+    assert len(masses) < 3860.0 + 40.0 * math.sqrt(3860.0) + 100 - 1000
 
 
 def test_tv_input_validation():

@@ -23,7 +23,9 @@ from randcomplex import (
     sample_points,
 )
 
-from oracles import cliques_by_set_expansion, er_graph_by_triu, geometric_graph_by_offsets
+from oracles import (
+    cliques_by_set_expansion, er_graph_by_triu, face_tuples, geometric_graph_by_offsets
+)
 from randcomplex.experiments import RegimeSpec
 from randcomplex.generators import _clique_faces
 
@@ -114,7 +116,7 @@ def test_clique_complex_matches_subset_enumeration():
         g = gen_er_graph(n, float(gen.random()), RngStream(int(gen.integers(2**32))))
         c = clique_complex(g, 4)
         for dim in range(min(4, n - 1) + 1):
-            assert list(c.faces[dim]) == brute_cliques(g.neighbor_sets, dim + 1)
+            assert face_tuples(c.faces[dim]) == brute_cliques(g.neighbor_sets, dim + 1)
 
 
 def test_cliques_of_order_in_any_order_matches_subset_enumeration():
@@ -125,9 +127,9 @@ def test_cliques_of_order_in_any_order_matches_subset_enumeration():
     expected = {m: brute_cliques(seeded.neighbor_sets, m) for m in range(1, 9)}
     assert expected[4] and not expected[8]
     for orders in (range(1, 9), range(8, 0, -1)):
-        g = Graph(seeded.vertex_count, seeded.adjacency)  # no expansion memoized yet
-        assert {m: cliques_of_order(g, m) for m in orders} == expected
-        assert list(clique_complex(g, 3).faces[3]) == expected[4]
+        g = Graph.from_edges(seeded.vertex_count, list(seeded.edges()))  # no expansion memoized yet
+        assert {m: face_tuples(cliques_of_order(g, m)) for m in orders} == expected
+        assert face_tuples(clique_complex(g, 3).faces[3]) == expected[4]
 
 
 # the four benchmark regimes: (spec, deepest clique layer a trial reads)
@@ -157,9 +159,10 @@ def test_clique_expansion_matches_set_oracle():
     for g, max_dim in cases:
         expected = cliques_by_set_expansion(g.neighbor_sets, max_dim)
         assert len(expected) == max_dim + 1
-        assert _clique_faces(g, max_dim) == expected
-        # the same graph without the from_edges key memo
-        assert _clique_faces(Graph(g.vertex_count, g.adjacency), max_dim) == expected
+        assert tuple(map(tuple, map(face_tuples, _clique_faces(g, max_dim)))) == expected
+        # the same graph from its edges reversed, each written high vertex first
+        again = Graph.from_edges(g.vertex_count, [(v, u) for u, v in g.edges()][::-1])
+        assert all(map(np.array_equal, _clique_faces(again, max_dim), _clique_faces(g, max_dim)))
     assert [len(layer) for layer in _clique_faces(complete, 7)] == [7, 21, 35, 35, 21, 7, 1, 0]
 
 
@@ -306,10 +309,10 @@ def test_cech_subset_of_rips_and_shared_skeleton():
         r = 0.05
         cech = cech_complex(pc, r, 3)
         rips = rips_complex(pc, r, 3)
-        assert cech.faces[0] == rips.faces[0]
-        assert cech.faces[1] == rips.faces[1]
+        assert np.array_equal(cech.faces[0], rips.faces[0])
+        assert np.array_equal(cech.faces[1], rips.faces[1])
         for dim in range(2, 4):
-            assert set(cech.faces[dim]) <= set(rips.faces[dim])
+            assert set(face_tuples(cech.faces[dim])) <= set(face_tuples(rips.faces[dim]))
 
 
 def test_cech_faces_match_ball_intersection_definition():
@@ -326,7 +329,7 @@ def test_cech_faces_match_ball_intersection_definition():
             for S in combinations(range(40), dim + 1)
             if balls_intersect(P[list(S)], r)
         ]
-        assert list(c.faces[dim]) == expected
+        assert face_tuples(c.faces[dim]) == expected
 
 
 def test_cech_complex_reads_the_clique_memo_without_changing_it():
