@@ -33,11 +33,14 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .complexes import Graph, PointCloud, SimplicialComplex, components
+from .complexes import (
+    MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _deletions, _face_keys, _face_rows,
+    components
+)
 from .generators import (
     RngStream, balls_intersect, cech_complex, cliques_of_order, geometric_graph
 )
-from .miniball import RADIUS_RTOL, three_point_radius
+from .miniball import RADIUS_RTOL, triangle_radius
 
 # ---------------------------------------------------------------------------
 # Canonical forms for small graphs
@@ -200,9 +203,10 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     """(S, S_iso): empty (k-1)-simplices of the Čech complex c of g, and the isolated ones.
 
     A k-clique of g is empty when it is not a (k-1)-face of c although each
-    of its k facets is a (k-2)-face, and isolated when its component of g is
-    the clique itself (docs/decisions.md, section 10). For k = 2 they are
-    the non-edges and the pairs of isolated vertices.
+    of its k facets is a (k-2)-face, both looked up in the face keys of c,
+    and isolated when its component of g is the clique itself
+    (docs/decisions.md, section 10). For k = 2 they are the non-edges and
+    the pairs of isolated vertices.
     """
     if not 2 <= k <= c.max_dim + 1:
         raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
@@ -210,13 +214,12 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     if k == 2:
         n, lonely = g.vertex_count, int(np.count_nonzero(comp.size == 1))
         return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
-    faces, facets = (set(map(tuple, c.faces[d].tolist())) for d in (k - 1, k - 2))
-    s = s_iso = 0
-    for f in map(tuple, cliques_of_order(g, k).tolist()):
-        if f not in faces and all(f[:i] + f[i + 1 :] in facets for i in range(k)):
-            s += 1
-            s_iso += comp.size_of(f[0]) == k
-    return s, s_iso
+    n, cand = g.vertex_count, cliques_of_order(g, k)
+    keys = _face_keys(c.faces, n, k)
+    is_face = _face_rows(keys, n, cand)[1]
+    empty = _face_rows(keys[:-1], n, _deletions(cand))[1].all(axis=1) & ~is_face
+    isolated = comp.size[comp.label[cand[empty, 0]]] == k
+    return int(np.count_nonzero(empty)), int(np.count_nonzero(isolated))
 
 
 def _cech_counts(pts: PointCloud, r: float, k: int, g: Graph | None) -> tuple[int, int]:
@@ -232,22 +235,6 @@ def empty_simplex_count(pts: PointCloud, r: float, k: int, g: Graph | None = Non
 def isolated_empty_simplex_count(pts: PointCloud, r: float, k: int, g: Graph | None = None) -> int:
     """Empty (k-1)-simplices whose k vertices have no edges to the rest: S_iso."""
     return _cech_counts(pts, r, k, g)[1]
-
-
-def _is_empty_clique(pts: np.ndarray, r: float, full_r: float) -> bool:
-    """The μ estimate's emptiness test, for points known to be a clique of the 2r-graph.
-
-    True when the radius-`full_r` balls about all the points share no point
-    while the radius-r balls about every facet of three or more points do;
-    facets of two points are edges of the clique and need no test.
-    """
-    if balls_intersect(pts, full_r):
-        return False
-    if len(pts) - 1 >= 3:
-        for omit in range(len(pts)):
-            if not balls_intersect(np.delete(pts, omit, axis=0), r):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +283,7 @@ def z_count(g: Graph, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-_MAX_PAIRS = math.isqrt(2**63 - 1)  # pair-graph keys p*N + q stay below N^2 <= 2^63 - 1
+_MAX_PAIRS = MAX_KEYED_VERTICES  # pair-graph keys p*N + q stay below N^2 <= 2^63 - 1
 
 
 def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
@@ -691,23 +678,22 @@ def estimate_mu(
 
 
 def _hits_k3(Y: np.ndarray, rho: float) -> int:
-    y2, y3 = Y[:, 0, :], Y[:, 1, :]
-    pair_ok = np.linalg.norm(y2 - y3, axis=1) <= 2.0
-    radius = three_point_radius(np.zeros_like(y2), y2, y3)
-    empty = radius > rho * (1.0 + RADIUS_RTOL)
-    return int(np.count_nonzero(pair_ok & empty))
+    pair_ok = np.linalg.norm(Y[:, 0] - Y[:, 1], axis=1) <= 2.0
+    radius = triangle_radius(np.concatenate((np.zeros_like(Y[:, :1]), Y), axis=1))
+    return int(np.count_nonzero(pair_ok & (radius > rho * (1.0 + RADIUS_RTOL))))
 
 
 def _hits_general(Y: np.ndarray, rho: float) -> int:
+    """Samples (0, y_2, .., y_k), k >= 4, that form a clique of the 2-graph whose
+    radius-rho balls share no point while the unit balls about every facet do."""
     hits = 0
     origin = np.zeros((1, Y.shape[2]))
     for row in Y:
         pts = np.concatenate([origin, row], axis=0)
         diffs = pts[:, None, :] - pts[None, :, :]
-        if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0):
+        if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0) or balls_intersect(pts, rho):
             continue
-        if _is_empty_clique(pts, 1.0, rho):
-            hits += 1
+        hits += all(balls_intersect(np.delete(pts, i, axis=0), 1.0) for i in range(len(pts)))
     return hits
 
 

@@ -8,10 +8,13 @@ that every downstream count is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import index
 
 import numpy as np
+
+MAX_KEYED_VERTICES = math.isqrt(2**63 - 1)  # the largest n whose keys u*n + v < n^2 fit int64
 
 
 class Graph:
@@ -45,11 +48,14 @@ class Graph:
         all at once: a self-loop or out-of-range vertex raises ValueError naming
         the first such pair, and non-integer vertices raise TypeError. Both
         directions are packed as u*n + v keys, sorted, deduplicated and kept
-        as `edge_keys` (docs/decisions.md, section 8).
+        as `edge_keys`, so n > `MAX_KEYED_VERTICES` raises ValueError
+        (docs/decisions.md, section 8).
         """
         n = vertex_count
         if n < 0:
             raise ValueError("vertex_count must be non-negative")
+        if n > MAX_KEYED_VERTICES:
+            raise ValueError(f"vertex_count={n} above {MAX_KEYED_VERTICES}: u*n + v passes int64")
         e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
@@ -187,22 +193,25 @@ class SimplicialComplex:
         return c
 
     def validate(self) -> None:
-        """Check sortedness, downward closure, and the vertex set; raise on violation."""
-        if self.faces[0].tolist() != [[v] for v in range(self.vertex_count)]:
+        """Check the vertex set, sorted layers and closure on the face keys; raise on violation.
+
+        Keys are injective only on vertices 0..n-1, so the range is checked
+        first (docs/decisions.md, section 14).
+        """
+        n = self.vertex_count
+        if not np.array_equal(self.faces[0][:, 0], np.arange(n)):
             raise ValueError("dimension-0 faces must be exactly the vertices")
+        for dim, layer in enumerate(self.faces[1:], 1):
+            if layer.size and (layer.min() < 0 or layer.max() >= n):
+                raise ValueError(f"a face of dim {dim} has a vertex outside 0..{n - 1}")
+            if np.any(layer[:, 1:] <= layer[:, :-1]):
+                raise ValueError(f"a face of dim {dim} is not strictly increasing")
+        keys = _face_keys(self.faces, n, self.max_dim + 1)
         for dim in range(1, self.max_dim + 1):
-            below = set(map(tuple, self.faces[dim - 1].tolist()))
-            prev: tuple[int, ...] | None = None
-            for face in map(tuple, self.faces[dim].tolist()):
-                if any(face[i] >= face[i + 1] for i in range(dim)):
-                    raise ValueError(f"face {face} not strictly increasing")
-                if prev is not None and face <= prev:
-                    raise ValueError(f"faces of dim {dim} not sorted/unique")
-                prev = face
-                for i in range(dim + 1):
-                    sub = face[:i] + face[i + 1 :]
-                    if sub not in below:
-                        raise ValueError(f"missing subface {sub} of {face}")
+            if np.any(np.diff(keys[dim]) <= 0):
+                raise ValueError(f"faces of dim {dim} not sorted/unique")
+            if not _face_rows(keys[:dim], n, _deletions(self.faces[dim]))[1].all():
+                raise ValueError(f"a face of dim {dim} misses one of its subfaces")
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,6 +226,54 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(f={f_vector(self)}, max_dim={self.max_dim})"
+
+
+def _face_rows(keys: list, n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in faces[m - 1] of the (m-1)-faces x[..., :m], m = len(keys), and which were found.
+
+    keys[d] holds the sorted keys of the d-faces: a vertex is its own key,
+    and a d-face (v_0, ..., v_d) has key row(v_0..v_{d-1}) * n + v_d. One
+    `searchsorted` per dimension turns a key into a row; keys[0] is None
+    when the vertices are 0..n-1, each its own row. A face not found gets
+    a meaningless row (docs/decisions.md, section 5).
+    """
+    row = x[..., 0]
+    found = np.ones(row.shape, dtype=bool)
+    for d, table in enumerate(keys):
+        key = row * n + x[..., d] if d else row
+        if table is None:
+            continue
+        row = np.searchsorted(table, key)
+        found &= np.append(table, -1)[row] == key
+    return row, found
+
+
+def _face_keys(faces, n: int, top: int) -> list[np.ndarray | None]:
+    """The keys of the face layers of dimensions 0..top-1, as `_face_rows` reads them.
+
+    A d-face key is below f_{d-1} n, so every key fits in int64 unless some
+    f_d n >= 2^63, d <= top-2, which raises ValueError, as does a face whose
+    prefix is missing (docs/decisions.md, section 5).
+    """
+    widest = max((len(faces[d]) for d in range(top - 1)), default=0)
+    if widest * n >= 2**63:
+        raise ValueError(f"face keys on n={n} vertices reach {widest}*n >= 2**63 (k={top})")
+    keys = [None if len(faces[0]) == n else faces[0][:, 0]]
+    for d in range(1, top):
+        row, found = _face_rows(keys, n, faces[d])
+        if not found.all():
+            raise ValueError(f"a {d}-face misses its prefix {d - 1}-face")
+        keys.append(row * n + faces[d][:, d])
+    return keys
+
+
+def _deletions(faces: np.ndarray) -> np.ndarray:
+    """Entry (j, i) of the (f_k, k+1, k) result is k-face j without its i-th vertex.
+
+    Its row in the (k-1)-faces is row i of column j of d_k, with sign (-1)^i.
+    """
+    k = faces.shape[1] - 1
+    return faces[:, [[v for v in range(k + 1) if v != i] for i in range(k + 1)]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -168,11 +168,11 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
     This is the whole trial pipeline: trial t of an experiment is
     `instance_census(spec, RngStream(master_seed, t))`. Raises AssertionError
     when beta_0 (the union-find over the edges) differs from the component
-    count of g (label propagation over its edge keys), or when the Morse
-    inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1) or
-    the report's own consistency checks fail. The Euler characteristic is reported only when the built
-    complex is provably full-dimensional (its top face layer is empty, so no
-    face exists above the cap).
+    count of g (hooking and pointer jumping over its edge keys), or when the
+    Morse inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1)
+    or the report's own consistency checks fail. The Euler characteristic is
+    reported only when the built complex is provably full-dimensional (its
+    top face layer is empty, so no face exists above the cap).
     """
     k = spec.k
     top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Graph, PointCloud, SimplicialComplex
-from .miniball import RADIUS_RTOL, min_enclosing_radius
+from .complexes import Graph, PointCloud, SimplicialComplex, _face_keys, _face_rows
+from .miniball import RADIUS_RTOL, min_enclosing_radius, triangle_radius
 
 DENSITY_KINDS = ("uniform_cube", "gaussian")
 
@@ -218,19 +218,25 @@ def cech_complex(
 
     The 1-skeleton equals the geometric graph at scale r (two r-balls meet
     iff centers are <= 2r apart); higher faces are cliques of that graph
-    whose full ball intersection is nonempty. The cliques come from g's
-    memoized expansion; a clique is kept when its prefix face was kept and
-    its balls meet, which by monotonicity of intersection finds every face.
-    Pass `graph` to reuse a geometric graph already built at the same scale.
+    whose full ball intersection is nonempty, taken from g's memoized
+    expansion: every triangle in one `triangle_radius` call, and from
+    dimension 3 up each clique whose prefix face was kept (by the face
+    keys) and whose balls meet, which by monotonicity finds every face
+    (docs/decisions.md, section 6). Pass `graph` to reuse a geometric graph
+    already built at the same scale.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
+    if r <= 0:
+        raise ValueError("r must be positive")
     g = geometric_graph(pts, r) if graph is None else graph
-    P = pts.points
+    n, P = g.vertex_count, pts.points
     cliques = _cliques_up_to(g, max_dim)
-    faces = list(cliques[:2])
-    for layer in cliques[2:]:
-        kept = set(map(tuple, faces[-1].tolist()))
-        keep = [tuple(f[:-1]) in kept and balls_intersect(P[f], r) for f in layer.tolist()]
-        faces.append(layer[np.array(keep, dtype=bool)])
-    return SimplicialComplex(g.vertex_count, tuple(faces), max_dim)
+    faces = list(cliques[:3])
+    if max_dim >= 2:
+        faces[2] = faces[2][triangle_radius(P[faces[2]]) <= r * (1.0 + RADIUS_RTOL)]
+    for layer in cliques[3:]:
+        _, keep = _face_rows(_face_keys(faces, n, len(faces)), n, layer)
+        keep[keep] = [balls_intersect(P[f], r) for f in layer[keep]]
+        faces.append(layer[keep])
+    return SimplicialComplex(n, tuple(faces), max_dim)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex, f_vector
+from .complexes import SimplicialComplex, _deletions, _face_keys, _face_rows, f_vector
 
 DEFAULT_PRIME = 2147483629  # large prime below 2^31, the bound of require_prime_field
 
@@ -70,56 +70,19 @@ class BoundaryMatrix:
         return mat
 
 
-def _face_rows(keys: list[np.ndarray | None], n: int, x: np.ndarray) -> np.ndarray:
-    """Rows in `c.faces[m - 1]` of the (m-1)-faces x[..., :m], m = len(keys).
-
-    keys[d] holds the sorted keys of the d-faces: a vertex is its own key,
-    and a d-face (v_0, ..., v_d) has key row(v_0..v_{d-1}) * n + v_d. One
-    `searchsorted` per dimension turns a key into a row; keys[0] is None
-    when the vertices are 0..n-1, each its own row.
-    """
-    row = x[..., 0]
-    for d, table in enumerate(keys):
-        key = row * n + x[..., d] if d else row
-        if table is None:
-            continue
-        row = np.searchsorted(table, key)
-        if not np.array_equal(np.append(table, -1)[row], key):
-            raise ValueError(f"a face of the complex misses one of its {d}-faces")
-    return row
-
-
-def _face_keys(c: SimplicialComplex, top: int) -> list[np.ndarray | None]:
-    """The keys of the faces of dimensions 0..top-1, as `_face_rows` reads them.
-
-    A d-face key is below f_{d-1} n, so every key fits in int64 unless some
-    f_d n >= 2^63, d <= top-2, which raises ValueError (docs/decisions.md,
-    section 5).
-    """
-    n = c.vertex_count
-    widest = max((len(c.faces[d]) for d in range(top - 1)), default=0)
-    if widest * n >= 2**63:
-        raise ValueError(f"face keys on n={n} vertices reach {widest}*n >= 2**63 (k={top})")
-    keys = [None if len(c.faces[0]) == n else c.faces[0][:, 0]]
-    for d in range(1, top):
-        keys.append(_face_rows(keys, n, c.faces[d]) * n + c.faces[d][:, d])
-    return keys
-
-
-def _deletions(faces: np.ndarray) -> np.ndarray:
-    """Entry (j, i) of the (f_k, k+1, k) result is k-face j without its i-th vertex.
-
-    Its row in the (k-1)-faces is row i of column j of d_k, with sign (-1)^i.
-    """
-    k = faces.shape[1] - 1
-    return faces[:, [[v for v in range(k + 1) if v != i] for i in range(k + 1)]]
+def _boundary_rows(keys: list, c: SimplicialComplex, k: int) -> np.ndarray:
+    """The (f_k, k+1) rows of d_k: row i of column j is the row of k-face j without vertex i."""
+    rows, found = _face_rows(keys[:k], c.vertex_count, _deletions(c.faces[k]))
+    if not found.all():
+        raise ValueError(f"a face of the complex misses one of its {k - 1}-faces")
+    return rows
 
 
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Standard simplicial boundary with alternating signs, 1 <= k <= max_dim."""
     if not 1 <= k <= c.max_dim:
         raise ValueError(f"k={k} out of range 1..{c.max_dim}")
-    rows = _face_rows(_face_keys(c, k), c.vertex_count, _deletions(c.faces[k]))
+    rows = _boundary_rows(_face_keys(c.faces, c.vertex_count, k), c, k)
     entries = tuple(
         (r, j, -1 if i % 2 else 1) for j, row in enumerate(rows.tolist()) for i, r in enumerate(row)
     )
@@ -280,10 +243,10 @@ def betti_numbers(
     require_prime_field(q)
     top = _resolve_up_to(c, up_to) + 1
     ranks = [0] * (top + 1)
-    keys = _face_keys(c, top)
+    keys = _face_keys(c.faces, c.vertex_count, top)
     lows = ()
     for k in range(top, 1, -1):
-        rows = _face_rows(keys[:k], c.vertex_count, _deletions(c.faces[k]))
+        rows = _boundary_rows(keys, c, k)
         sign = [q - 1 if i % 2 else 1 for i in range(k + 1)]
         lows = _pivot_lows([dict(zip(row, sign)) for row in rows.tolist()], q, lows)
         ranks[k] = len(lows)

@@ -7,8 +7,6 @@ enclosing ball of the set has radius <= r.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Relative slack on radius comparisons; ties have probability zero for
@@ -80,49 +78,34 @@ def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     return ball
 
 
-def min_enclosing_radius(points: np.ndarray) -> float:
-    """Radius only; closed forms for up to three points avoid the recursion."""
-    pts = np.asarray(points, dtype=np.float64)
-    m = pts.shape[0]
-    if m == 1:
-        return 0.0
-    if m == 2:
-        d = pts[0] - pts[1]
-        return 0.5 * math.sqrt(float(d @ d))
-    if m == 3:
-        d01 = pts[0] - pts[1]
-        d12 = pts[1] - pts[2]
-        d20 = pts[2] - pts[0]
-        x = float(d01 @ d01)
-        y = float(d12 @ d12)
-        z = float(d20 @ d20)
-        big = max(x, y, z)
-        if big >= x + y + z - big:  # a >= 90 degree angle: diameter ball
-            return 0.5 * math.sqrt(big)
-        area16 = 2.0 * (x * y + y * z + z * x) - (x * x + y * y + z * z)
-        return math.sqrt(x * y * z / area16)
-    return min_enclosing_ball(pts)[1]
+def triangle_radius(tri: np.ndarray) -> np.ndarray:
+    """Smallest-enclosing-ball radii of point triples: (m, 3, d) -> (m,).
 
-
-def three_point_radius(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Vectorized smallest-enclosing-ball radius for point triples.
-
-    Inputs are broadcastable (..., d) arrays. If the triangle has an angle
-    >= 90 degrees the ball is the diameter ball of the longest side,
-    otherwise it is the circumscribed ball with radius abc / (4 * area).
+    The squared sides x, y, z are summed one coordinate at a time, with no
+    BLAS call, so the bits do not depend on the numpy build. An angle >= 90
+    degrees gives the diameter ball of the longest side, otherwise the
+    circumscribed ball, R^2 = xyz / (2(xy + yz + zx) - (x^2 + y^2 + z^2))
+    (Welzl 1991 for the case split; docs/decisions.md, section 6).
     """
-    ab = np.linalg.norm(a - b, axis=-1)
-    bc = np.linalg.norm(b - c, axis=-1)
-    ca = np.linalg.norm(c - a, axis=-1)
-    sides = np.stack([ab, bc, ca], axis=-1)
-    sides_sorted = np.sort(sides, axis=-1)
-    s0, s1, s2 = sides_sorted[..., 0], sides_sorted[..., 1], sides_sorted[..., 2]
-    obtuse = s2 * s2 >= s0 * s0 + s1 * s1
-    # Heron in the numerically stable sorted form (Kahan)
-    area_sq = (
-        (s2 + (s1 + s0)) * (s0 - (s2 - s1)) * (s0 + (s2 - s1)) * (s2 + (s1 - s0))
-    ) / 16.0
-    area = np.sqrt(np.maximum(area_sq, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        circum = np.where(area > 0, s0 * s1 * s2 / (4.0 * area), np.inf)
-    return np.where(obtuse, 0.5 * s2, np.minimum(circum, np.inf))
+    tri = np.asarray(tri, dtype=np.float64)
+    x, y, z = np.zeros((3, len(tri)))
+    for a, b, c in tri.transpose(2, 1, 0):  # one coordinate of the three points
+        ab, bc, ca = a - b, b - c, c - a
+        x += ab * ab
+        y += bc * bc
+        z += ca * ca
+    big = np.maximum(np.maximum(x, y), z)
+    radius = 0.5 * np.sqrt(big)
+    acute = big < x + y + z - big
+    x, y, z = x[acute], y[acute], z[acute]
+    area16 = 2.0 * (x * y + y * z + z * x) - (x * x + y * y + z * z)
+    radius[acute] = np.sqrt(x * y * z / area16)
+    return radius
+
+
+def min_enclosing_radius(points: np.ndarray) -> float:
+    """Radius only: up to three points take `triangle_radius`, the last point repeated."""
+    pts = np.asarray(points, dtype=np.float64)
+    if not 1 <= len(pts) <= 3:
+        return min_enclosing_ball(pts)[1]
+    return float(triangle_radius(pts[None, np.minimum([0, 1, 2], len(pts) - 1)])[0])

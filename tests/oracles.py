@@ -15,11 +15,12 @@ from itertools import chain, combinations, permutations
 import numpy as np
 
 from randcomplex import (
-    ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, cech_complex, clique_complex,
-    gen_er_graph, geometric_graph, sample_points
+    ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, SimplicialComplex,
+    cech_complex, clique_complex, gen_er_graph, geometric_graph, sample_points
 )
 from randcomplex.generators import cliques_of_order
 from randcomplex.homology import BoundaryMatrix
+from randcomplex.miniball import RADIUS_RTOL, min_enclosing_ball
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,44 @@ def ball_intersection_by_projection(points: np.ndarray, r: float, iters: int = 4
     if worst > r * (1 + 1e-6):
         return False
     return None
+
+
+def min_enclosing_radius_by_dot(points: np.ndarray) -> float:
+    """The scalar closed forms for up to three points, lengths squared by `d @ d`
+    (numpy's dot kernel), and Welzl above: the old `min_enclosing_radius`."""
+    pts = np.asarray(points, dtype=np.float64)
+    m = pts.shape[0]
+    if m == 1:
+        return 0.0
+    if m == 2:
+        d = pts[0] - pts[1]
+        return 0.5 * math.sqrt(float(d @ d))
+    if m == 3:
+        d01, d12, d20 = pts[0] - pts[1], pts[1] - pts[2], pts[2] - pts[0]
+        x, y, z = float(d01 @ d01), float(d12 @ d12), float(d20 @ d20)
+        big = max(x, y, z)
+        if big >= x + y + z - big:  # a >= 90 degree angle: diameter ball
+            return 0.5 * math.sqrt(big)
+        area16 = 2.0 * (x * y + y * z + z * x) - (x * x + y * y + z * z)
+        return math.sqrt(x * y * z / area16)
+    return min_enclosing_ball(pts)[1]
+
+
+def cech_complex_per_face(pts, r: float, max_dim: int, graph: Graph | None = None):
+    """The Čech complex by one scalar ball test per clique, prefixes in Python sets:
+    the slow path of `cech_complex`."""
+    g = geometric_graph(pts, r) if graph is None else graph
+    P = pts.points
+    cliques = clique_complex(g, max_dim).faces
+    faces = list(cliques[:2])
+    for layer in cliques[2:]:
+        kept = set(face_tuples(faces[-1]))
+        keep = [
+            f[:-1] in kept and min_enclosing_radius_by_dot(P[list(f)]) <= r * (1.0 + RADIUS_RTOL)
+            for f in face_tuples(layer)
+        ]
+        faces.append(layer[np.array(keep, dtype=bool)])
+    return SimplicialComplex(g.vertex_count, tuple(faces), max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +358,26 @@ def boundary_matrix_by_dict(c, k: int) -> BoundaryMatrix:
             sub = face[:i] + face[i + 1 :]
             entries.append((row_index[sub], j, -1 if i % 2 else 1))
     return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
+
+
+def validate_by_sets(c) -> None:
+    """Sortedness, downward closure and the vertex set by tuples and a set of the
+    faces one dimension down: the slow path of `SimplicialComplex.validate`."""
+    if c.faces[0].tolist() != [[v] for v in range(c.vertex_count)]:
+        raise ValueError("dimension-0 faces must be exactly the vertices")
+    for dim in range(1, c.max_dim + 1):
+        below = set(face_tuples(c.faces[dim - 1]))
+        prev = None
+        for face in face_tuples(c.faces[dim]):
+            if any(face[i] >= face[i + 1] for i in range(dim)):
+                raise ValueError(f"face {face} not strictly increasing")
+            if prev is not None and face <= prev:
+                raise ValueError(f"faces of dim {dim} not sorted/unique")
+            prev = face
+            for i in range(dim + 1):
+                sub = face[:i] + face[i + 1 :]
+                if sub not in below:
+                    raise ValueError(f"missing subface {sub} of {face}")
 
 
 def c01_complexes():

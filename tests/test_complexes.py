@@ -23,7 +23,11 @@ from randcomplex import (
     skeleton_graph,
 )
 
-from oracles import brute_adjacency, brute_components, components_by_bfs, cross_polytope_zoo
+from oracles import (
+    brute_adjacency, brute_components, components_by_bfs, cross_polytope_zoo, validate_by_sets
+)
+from randcomplex import census
+from randcomplex.complexes import MAX_KEYED_VERTICES
 
 
 def test_components_two_disjoint_edges():
@@ -142,6 +146,22 @@ def test_graph_validation():
     assert Graph.from_edges(3, [(0, 1), (1, 0)]).adjacency == ((1,), (0,), ())
 
 
+def test_from_edges_refuses_keys_past_int64():
+    """Keys u*n + v fit int64 up to n = isqrt(2**63 - 1); past it, from_edges raises.
+
+    Both sides are built from one edge, so no O(n) array is allocated.
+    """
+    top = MAX_KEYED_VERTICES
+    assert top == math.isqrt(2**63 - 1) == census._MAX_PAIRS
+    assert top**2 < 2**63 <= (top + 1) ** 2
+    g = Graph.from_edges(top, [(top - 1, 0)])
+    assert g.edge_keys.tolist() == [top - 1, (top - 1) * top] and g.edge_count == 1
+    assert np.divmod(g.edge_keys, top)[0].tolist() == [0, top - 1]
+    for n in (top + 1, 4_000_000_000):
+        with pytest.raises(ValueError, match=f"vertex_count={n} .*int64"):
+            Graph.from_edges(n, [(n - 1, 1)])
+
+
 def test_from_edges_reads_every_input_form_alike():
     pairs = [(0, 3), (3, 0), (1, 2), (1, 2), (4, 1), (0, 3), (2, 0)]
     expected = Graph.from_edges(5, pairs)
@@ -215,6 +235,60 @@ def test_complex_validation_rejects_missing_subface():
         3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
     )
     assert c.max_dim == 2
+
+
+def _verdict(check, c: SimplicialComplex) -> bool:
+    try:
+        check(c)
+    except ValueError:
+        return False
+    return True
+
+
+def _with_layer(c: SimplicialComplex, dim: int, rows) -> SimplicialComplex:
+    """c with face layer `dim` replaced by `rows`, unvalidated."""
+    layer = np.array(rows, dtype=np.int64).reshape(-1, dim + 1)
+    faces = c.faces[:dim] + (layer,) + c.faces[dim + 1 :]
+    return SimplicialComplex(c.vertex_count, faces, c.max_dim)
+
+
+def test_validate_by_face_keys_agrees_with_set_oracle():
+    """Corrupted layers: the face-key validator and the set loop accept and reject alike."""
+    triangle = SimplicialComplex.from_face_lists(
+        3, [[(0,), (1,), (2,)], [(0, 1), (0, 2), (1, 2)], [(0, 1, 2)]]
+    )
+    cases = [
+        (triangle, True),
+        # at n = 3 the out-of-range edge (0, 5) has the key 0*3 + 5 of (1, 2)
+        (_with_layer(triangle, 1, [(0, 1), (0, 2), (0, 5)]), False),
+        (_with_layer(triangle, 1, [(-1, 1), (0, 1), (0, 2), (1, 2)]), False),
+        (_with_layer(triangle, 2, [(0, 1, 3)]), False),
+        (_with_layer(triangle, 1, [(0, 1), (0, 2), (2, 1)]), False),
+        (_with_layer(triangle, 2, [(0, 2, 1)]), False),
+        (_with_layer(triangle, 2, []), True),  # dropping a top face leaves a complex
+    ]
+    gen = RngStream(35).generator()
+    for t in range(12):
+        c = clique_complex(gen_er_graph(9, 0.7, RngStream(35, t)), 3)
+        cases.append((c, True))
+        for dim in range(1, 4):
+            rows = c.faces[dim].tolist()
+            if len(rows) < 2:
+                continue
+            i = int(gen.integers(len(rows) - 1))
+            swapped = rows[:i] + [rows[i + 1], rows[i]] + rows[i + 2 :]
+            duplicated = rows[: i + 1] + rows[i:]
+            outside = [r[:-1] + [c.vertex_count + 2] if j == i else r for j, r in enumerate(rows)]
+            reversed_row = [r[::-1] if j == i else r for j, r in enumerate(rows)]
+            for bad in (swapped, duplicated, outside, reversed_row):
+                cases.append((_with_layer(c, dim, bad), False))
+            # a dropped face leaves a complex unless it is a facet of a face one dimension up
+            cofaces = c.faces[dim + 1].tolist() if dim < 3 else []
+            kept = not any(set(rows[i]) <= set(f) for f in cofaces)
+            cases.append((_with_layer(c, dim, rows[:i] + rows[i + 1 :]), kept))
+    assert sum(valid for _, valid in cases) > 12  # some dropped faces leave a complex
+    for c, valid in cases:
+        assert _verdict(validate_by_sets, c) == _verdict(SimplicialComplex.validate, c) == valid
 
 
 def _assert_face_form(c: SimplicialComplex):

@@ -627,22 +627,34 @@ def test_trial_reads_no_per_vertex_memo(monkeypatch, memo, name):
 
 
 def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
-    """S and S_iso are read off the built complex: no second ball test."""
-    spec = PIPELINE_SPECS["cech"]
-    calls = {"balls": 0}
-    radius = generators.min_enclosing_radius
+    """S and S_iso are read off the built complex: no second ball test.
+
+    A ball test is one triple of a `triangle_radius` call (the triangle
+    layer) or one `min_enclosing_radius` call (Welzl, 4 or more points).
+    """
+    calls = {"triples": 0, "welzl": 0}
+    radius, triangles = generators.min_enclosing_radius, generators.triangle_radius
 
     def counted_radius(centers):
-        calls["balls"] += 1
+        calls["welzl"] += 1
         return radius(centers)
 
-    # every balls_intersect call runs this once, under whichever name it was imported
+    def counted_triangles(tri):
+        calls["triples"] += len(tri)
+        return triangles(tri)
+
+    # every balls_intersect call runs counted_radius once, under whichever name it was imported
     monkeypatch.setattr(generators, "min_enclosing_radius", counted_radius)
-    instance_census(spec, RngStream(31, 0))
-    in_trial, calls["balls"] = calls["balls"], 0
-    pts = generators.sample_points(
-        spec.n, generators.DensitySpec(spec.density, spec.d), RngStream(31, 0)
-    )
-    r = spec.resolve_r()
-    generators.cech_complex(pts, r, spec.k - 1, graph=generators.geometric_graph(pts, r))
-    assert in_trial == calls["balls"] > 0
+    monkeypatch.setattr(generators, "triangle_radius", counted_triangles)
+    for spec in (PIPELINE_SPECS["cech"], RegimeSpec(model="cech", k=4, n=120, d=3, alpha=5.0)):
+        calls.update(triples=0, welzl=0)
+        instance_census(spec, RngStream(31, 0))
+        in_trial = dict(calls)
+        calls.update(triples=0, welzl=0)
+        pts = generators.sample_points(
+            spec.n, generators.DensitySpec(spec.density, spec.d), RngStream(31, 0)
+        )
+        r = spec.resolve_r()
+        generators.cech_complex(pts, r, spec.k - 1, graph=generators.geometric_graph(pts, r))
+        assert in_trial == calls and calls["triples"] > 0
+        assert (calls["welzl"] > 0) == (spec.k >= 4)  # Welzl only from dimension 3 up

@@ -24,7 +24,8 @@ from randcomplex import (
 )
 
 from oracles import (
-    cliques_by_set_expansion, er_graph_by_triu, face_tuples, geometric_graph_by_offsets
+    cech_complex_per_face, cliques_by_set_expansion, er_graph_by_triu, face_tuples,
+    geometric_graph_by_offsets
 )
 from randcomplex.experiments import RegimeSpec
 from randcomplex.generators import _clique_faces
@@ -192,6 +193,10 @@ def test_geometric_graph_rejects_nonpositive_radius():
     pts = PointCloud(2, [[0.0, 0.0]])
     with pytest.raises(ValueError):
         geometric_graph(pts, 0.0)
+    triangle = PointCloud(2, EQUILATERAL)
+    for r in (0.0, -1.0):  # also with a graph given, whose triangle needs no Welzl call
+        with pytest.raises(ValueError, match="positive"):
+            cech_complex(triangle, r, 2, graph=geometric_graph(triangle, 1.2))
 
 
 def _window_cases():
@@ -330,6 +335,30 @@ def test_cech_faces_match_ball_intersection_definition():
             if balls_intersect(P[list(S)], r)
         ]
         assert face_tuples(c.faces[dim]) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, clouds",
+    [
+        (RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0), 200),
+        (RegimeSpec(model="cech", k=4, n=300, d=3, alpha=5.0), 8),
+    ],
+    ids=["cech-k3-n2000", "cech-k4-d3"],
+)
+def test_cech_complex_matches_per_face_filter_bit_for_bit(spec, clouds):
+    """One `triangle_radius` call per triangle layer and the face-key prefix test
+    keep the faces of the scalar `d @ d` filter with Python-set prefixes."""
+    r = spec.resolve_r()
+    rejected = [0] * spec.k
+    for t in range(clouds):
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(17, t))
+        g = geometric_graph(pts, r)
+        c = cech_complex(pts, r, spec.k - 1, graph=g)
+        oracle = cech_complex_per_face(pts, r, spec.k - 1)
+        assert [a.tobytes() for a in c.faces] == [b.tobytes() for b in oracle.faces]
+        for dim in range(2, spec.k):
+            rejected[dim] += len(clique_complex(g, dim).faces[dim]) - len(c.faces[dim])
+    assert all(rejected[2:])  # every layer the filter reads drops some clique
 
 
 def test_cech_complex_reads_the_clique_memo_without_changing_it():

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from randcomplex import RngStream, balls_intersect
-from randcomplex.miniball import min_enclosing_ball, min_enclosing_radius, three_point_radius
+from randcomplex.miniball import min_enclosing_ball, min_enclosing_radius, triangle_radius
 
 from oracles import ball_intersection_by_projection, meb_radius_exhaustive
 
@@ -49,13 +50,26 @@ def test_obtuse_triangle_uses_diameter_ball():
 
 
 def test_three_point_radius_matches_scalar():
+    """`triangle_radius` against Welzl per triple, degenerate triples included."""
     gen = RngStream(5).generator()
-    a, b, c = gen.standard_normal((3, 64, 3))
-    batch = three_point_radius(a, b, c)
-    for i in range(64):
-        assert batch[i] == pytest.approx(
-            min_enclosing_radius(np.stack([a[i], b[i], c[i]])), rel=1e-10
-        )
+    special = [
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],  # right angle at the first point
+        [[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]],  # right angle at the last point
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0]],  # collinear, middle point inside
+        [[2.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],  # collinear, longest side first
+        [[1.0, 2.0, 3.0]] * 3,  # coincident
+        [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1.0, 2.0, 5.0]],  # two coincident
+    ]
+    tri = np.concatenate((np.array(special), gen.standard_normal((64, 3, 3))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        batch = triangle_radius(tri)
+        scalar = [min_enclosing_radius(t) for t in tri]
+    assert batch[:6].tolist() == [0.5 * math.sqrt(2.0), 2.5, 1.5 * math.sqrt(3.0), 1.0, 0.0, 1.0]
+    for t, radius, one in zip(tri, batch, scalar):
+        assert radius == pytest.approx(min_enclosing_ball(t)[1], rel=1e-10, abs=1e-15)
+        assert one == radius  # a single triple takes the same binary64 steps
+    assert triangle_radius(np.empty((0, 3, 2))).shape == (0,)
 
 
 def test_welzl_agrees_with_exhaustive_oracle():
