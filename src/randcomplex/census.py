@@ -125,18 +125,6 @@ def complete_graph_edges(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
-def cross_polytope_skeleton(k: int) -> CanonicalGraph:
-    """1-skeleton of the k-dimensional cross-polytope boundary: K_{2,..,2}."""
-    n = 2 * k + 2
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if v != u + (1 if u % 2 == 0 else -1)  # pairs (2i, 2i+1) stay non-adjacent
-    ]
-    return canonical_form(n, edges)
-
-
 def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGraph]:
     """The three isomorphism types of trees on five vertices."""
     path = canonical_form(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -170,6 +158,45 @@ def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
         for a in g._codegrees:
             a.flags.writeable = False
     return g._codegrees
+
+
+def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
+    """The subcomplex of c = `clique_complex(g, ...)` induced on a strong-collapse core of g.
+
+    Deleting a vertex v with N[v] ⊆ N[u] for a neighbour u, that is with
+    edge codegree c_vu = d_v - 1, keeps the homotopy type of the flag
+    complex, so the core has the Betti numbers of c below its top dimension.
+    One array round deletes every v with a neighbour u such that N[v] ⊊ N[u],
+    or N[v] = N[u] and u < v; a worklist then deletes the dominated survivors
+    one at a time. Vertices keep their labels (docs/decisions.md, section 15).
+    """
+    n = g.vertex_count
+    d, _, _, codegree = _codegrees(g)[:4]
+    src, nbr = np.divmod(g.edge_keys, n)
+    ds, dn = d[src], d[nbr]
+    alive = np.ones(n, dtype=bool)
+    alive[src[(codegree == ds - 1) & ((ds < dn) | ((ds == dn) & (nbr < src)))]] = False
+    closed: dict[int, set[int]] = {}  # N[v] of each survivor with a surviving edge
+    for u, v in c.faces[1][alive[c.faces[1]].all(1)].tolist():
+        closed.setdefault(u, {u}).add(v)
+        closed.setdefault(v, {v}).add(u)
+    queue, removed = list(closed), []
+    while queue:
+        v = queue.pop()
+        nv = closed.get(v, ())
+        for u in nv:
+            if u != v and nv <= closed[u]:
+                break
+        else:
+            continue  # no neighbour dominates v
+        del closed[v]
+        removed.append(v)
+        nv.discard(v)
+        for u in nv:
+            closed[u].discard(v)
+        queue += nv
+    alive[removed] = False
+    return SimplicialComplex(n, tuple(layer[alive[layer].all(1)] for layer in c.faces), c.max_dim)
 
 
 def tree_counts_order5(g: Graph) -> tuple[int, int, int]:

@@ -21,6 +21,7 @@ from .census import (
     er_expected_faces,
     estimate_mu,
     faces_on_large_components,
+    strong_collapse_core,
     tree_counts_order5,
     y_count,
     z_count,
@@ -166,7 +167,10 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
     """Build one instance of the regime, take its census, and check the bounds.
 
     This is the whole trial pipeline: trial t of an experiment is
-    `instance_census(spec, RngStream(master_seed, t))`. Raises AssertionError
+    `instance_census(spec, RngStream(master_seed, t))`. A Rips trial takes
+    its Betti numbers from the strong-collapse core of its flag complex,
+    which has the same ones; f and every check and count below read the
+    full complex (docs/decisions.md, section 15). Raises AssertionError
     when beta_0 (the union-find over the edges) differs from the component
     count of g (hooking and pointer jumping over its edge keys), or when the
     Morse inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1)
@@ -187,7 +191,8 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
     else:
         c = clique_complex(g, k + 1)
     f = f_vector(c)
-    betti = betti_numbers(c, top, spec.field_prime).betti
+    core = strong_collapse_core(c, g) if spec.model == "rips" else c
+    betti = betti_numbers(core, top, spec.field_prime).betti
     comp_count = components(g).count
     if betti[0] != comp_count:
         raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")

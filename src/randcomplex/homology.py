@@ -8,12 +8,14 @@ pass detects. rank d_1 = f_0 - #components over every field, so
 up with one sparse column reduction, from the top degree down, and skips
 the columns of d_k that are pivot rows of d_{k+1} (clearing). The rows of
 each boundary come from `searchsorted` on face keys, one per dimension.
-`betti_numbers_exact` runs Bareiss on every degree, d_1 included
-(docs/decisions.md, section 5).
+`betti_numbers_exact` reduces every degree, d_1 included, over Q on Python
+ints, dividing each column by the gcd of its entries (docs/decisions.md,
+section 5).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,11 +120,11 @@ def _pivot_lows(cols: list[dict[int, int]], q: int, cleared) -> dict[int, dict[i
     return pivot_of_low
 
 
-def _columns(bm: BoundaryMatrix, q: int) -> list[dict[int, int]]:
-    """The columns of the matrix as {row: entry mod q} dicts."""
+def _columns(bm: BoundaryMatrix, q: int | None = None) -> list[dict[int, int]]:
+    """The columns of the matrix as {row: entry} dicts, entries mod q unless q is None."""
     cols: list[dict[int, int]] = [dict() for _ in range(bm.col_count)]
     for i, j, s in bm.entries:
-        cols[j][i] = s % q
+        cols[j][i] = s if q is None else s % q
     return cols
 
 
@@ -155,37 +157,26 @@ def _rank_d1(c: SimplicialComplex) -> int:
 
 
 def _rank_exact(bm: BoundaryMatrix) -> int:
-    """Rational rank by fraction-free (Bareiss) elimination on exact integers."""
-    if bm.row_count == 0 or bm.col_count == 0:
-        return 0
-    mat = [[0] * bm.col_count for _ in range(bm.row_count)]
-    for i, j, s in bm.entries:
-        mat[i][j] = s
-    rows, cols = bm.row_count, bm.col_count
-    if rows > cols:
-        mat = [list(col) for col in zip(*mat)]
-        rows, cols = cols, rows
-    rank = 0
-    prev = 1
-    for c in range(cols):
-        if rank == rows:
-            break
-        p = next((r for r in range(rank, rows) if mat[r][c]), None)
-        if p is None:
-            continue
-        if p != rank:
-            mat[rank], mat[p] = mat[p], mat[rank]
-        piv_row = mat[rank]
-        piv = piv_row[c]
-        # Bareiss update: entries stay minors of the input, division is exact
-        for r in range(rank + 1, rows):
-            row = mat[r]
-            head = row[c]
-            for x in range(c, cols):
-                row[x] = (piv * row[x] - head * piv_row[x]) // prev
-        prev = piv
-        rank += 1
-    return rank
+    """Rank over Q by a fraction-free column reduction by lows on Python ints.
+
+    A column that shares its low with a pivot becomes a*col - b*piv, with
+    a = piv[low] and b = col[low], divided by the gcd of its entries. Every
+    step scales the column by a nonzero rational and adds a combination of
+    earlier columns, so the pivots, whose lows differ, count the rank.
+    """
+    pivot_of_low: dict[int, dict[int, int]] = {}
+    for col in _columns(bm):
+        while col:
+            low = max(col)
+            piv = pivot_of_low.get(low)
+            if piv is None:
+                pivot_of_low[low] = col
+                break
+            a, b = piv[low], col[low]
+            col = {r: a * col.get(r, 0) - b * piv.get(r, 0) for r in col.keys() | piv.keys()}
+            g = math.gcd(*col.values())
+            col = {r: x // g for r, x in col.items() if x}
+    return len(pivot_of_low)
 
 
 @dataclass(frozen=True)
@@ -255,7 +246,7 @@ def betti_numbers(
 
 
 def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> BettiVector:
-    """Brute-force oracle: Betti numbers over Q by fraction-free elimination."""
+    """Brute-force oracle: Betti numbers over Q by exact column reduction, with no prime."""
     top = _resolve_up_to(c, up_to) + 1
     ranks = [0] + [_rank_exact(boundary_matrix(c, k)) for k in range(1, top + 1)]
     return _betti_vector(c, None, ranks)

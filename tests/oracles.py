@@ -16,7 +16,7 @@ import numpy as np
 
 from randcomplex import (
     ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, SimplicialComplex,
-    cech_complex, clique_complex, gen_er_graph, geometric_graph, sample_points
+    canonical_form, cech_complex, clique_complex, gen_er_graph, geometric_graph, sample_points
 )
 from randcomplex.generators import cliques_of_order
 from randcomplex.homology import BoundaryMatrix
@@ -360,6 +360,41 @@ def boundary_matrix_by_dict(c, k: int) -> BoundaryMatrix:
     return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
 
 
+def rank_by_bareiss(bm: BoundaryMatrix) -> int:
+    """Rational rank by dense fraction-free (Bareiss) elimination on exact
+    integers: the slow path of `homology._rank_exact`."""
+    if bm.row_count == 0 or bm.col_count == 0:
+        return 0
+    mat = [[0] * bm.col_count for _ in range(bm.row_count)]
+    for i, j, s in bm.entries:
+        mat[i][j] = s
+    rows, cols = bm.row_count, bm.col_count
+    if rows > cols:
+        mat = [list(col) for col in zip(*mat)]
+        rows, cols = cols, rows
+    rank = 0
+    prev = 1
+    for c in range(cols):
+        if rank == rows:
+            break
+        p = next((r for r in range(rank, rows) if mat[r][c]), None)
+        if p is None:
+            continue
+        if p != rank:
+            mat[rank], mat[p] = mat[p], mat[rank]
+        piv_row = mat[rank]
+        piv = piv_row[c]
+        # Bareiss update: entries stay minors of the input, division is exact
+        for r in range(rank + 1, rows):
+            row = mat[r]
+            head = row[c]
+            for x in range(c, cols):
+                row[x] = (piv * row[x] - head * piv_row[x]) // prev
+        prev = piv
+        rank += 1
+    return rank
+
+
 def validate_by_sets(c) -> None:
     """Sortedness, downward closure and the vertex set by tuples and a set of the
     faces one dimension down: the slow path of `SimplicialComplex.validate`."""
@@ -511,6 +546,11 @@ def cross_polytope_edges(k: int) -> list[tuple[int, int]]:
         for u, v in combinations(range(n), 2)
         if not (u % 2 == 0 and v == u + 1)
     ]
+
+
+def cross_polytope_skeleton(k: int):
+    """1-skeleton of the k-dimensional cross-polytope boundary, K_{2,..,2}, in canonical form."""
+    return canonical_form(2 * k + 2, cross_polytope_edges(k))
 
 
 def brute_cross_counts(n: int, adj_sets, k: int) -> tuple[int, int]:

@@ -42,7 +42,6 @@ from randcomplex.census import (
     _codegrees,
     automorphism_count,
     connected_subsets,
-    cross_polytope_skeleton,
     tree_patterns_order5,
 )
 
@@ -50,6 +49,7 @@ from oracles import (
     brute_components,
     brute_cross_counts,
     cross_counts_by_pairs,
+    cross_polytope_skeleton,
     cross_polytope_zoo,
     brute_empty_simplices,
     brute_faces_on_large_components,

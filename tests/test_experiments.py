@@ -18,7 +18,9 @@ from randcomplex import (
     MuEstimate,
     RegimeSpec,
     RngStream,
+    SimplicialComplex,
     cli,
+    components,
     estimate_mu,
     experiments,
     generators,
@@ -608,6 +610,39 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
     assert len(decomposed) == 1
     monkeypatch.undo()
     assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
+def test_only_rips_trials_take_betti_numbers_from_the_core(monkeypatch, name):
+    calls = []
+    collapse = experiments.strong_collapse_core
+
+    def counted(c, g):
+        calls.append(c)
+        return collapse(c, g)
+
+    monkeypatch.setattr(experiments, "strong_collapse_core", counted)
+    report = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert len(calls) == (PIPELINE_SPECS[name].model == "rips")
+    monkeypatch.undo()
+    assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+
+
+def test_core_that_loses_a_component_fails_the_beta0_check(monkeypatch):
+    collapse = experiments.strong_collapse_core
+
+    def lossy(c, g):
+        core = collapse(c, g)
+        label = components(g).label
+        kept = label != label[core.faces[0][0, 0]]  # every core vertex but one component's
+        return SimplicialComplex(
+            c.vertex_count, tuple(layer[kept[layer].all(1)] for layer in core.faces), c.max_dim
+        )
+
+    monkeypatch.setattr(experiments, "strong_collapse_core", lossy)
+    for name in ("rips-k1", "rips-k2"):
+        with pytest.raises(AssertionError, match="beta_0=.* disagrees with component count"):
+            instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,10 +24,12 @@ from randcomplex import (
     euler_characteristic,
     f_vector,
     gen_er_graph,
+    geometric_graph,
     instance_census,
     rips_complex,
     sample_points,
 )
+from randcomplex.census import strong_collapse_core
 from randcomplex.homology import (
     DEFAULT_PRIME,
     _columns,
@@ -37,7 +40,9 @@ from randcomplex.homology import (
     require_prime_field,
 )
 
-from oracles import boundary_matrix_by_dict, c01_complexes, c03_complexes, face_tuples
+from oracles import (
+    boundary_matrix_by_dict, c01_complexes, c03_complexes, face_tuples, rank_by_bareiss
+)
 
 
 def octahedron_graph() -> Graph:
@@ -231,6 +236,15 @@ def test_cleared_ranks_match_uncleared_exact_and_pinned(name):
                 assert cleared == full
                 lows = cleared
     assert digest.hexdigest() == pinned_digest
+
+
+@pytest.mark.parametrize("name", ["c01", "er-dense-k2", "er-dense-k3", "rp2"])
+def test_exact_rank_matches_bareiss(name):
+    """The sparse gcd-reduced column reduction and dense Bareiss give one rational rank."""
+    for c in HOMOLOGY_CORPORA[name][0]():
+        for k in range(1, c.max_dim + 1):
+            bm = boundary_matrix(c, k)
+            assert _rank_exact(bm) == rank_by_bareiss(bm)
 
 
 @pytest.mark.parametrize("name", sorted(HOMOLOGY_CORPORA))
@@ -429,3 +443,86 @@ def test_small_and_default_primes_still_work():
     b1, b2, agree = check_field_independence(c, q1=2, q2=3)
     assert agree and (b1.field_prime, b2.field_prime) == (2, 3)
     assert RegimeSpec(model="er_clique", k=1, n=10, p=0.5, field_prime=3).field_prime == 3
+
+
+# ---------------------------------------------------------------------------
+# The strong-collapse core of a flag complex
+# ---------------------------------------------------------------------------
+
+
+def collapse(g: Graph, max_dim: int) -> tuple[SimplicialComplex, SimplicialComplex]:
+    c = clique_complex(g, max_dim)
+    return c, strong_collapse_core(c, g)
+
+
+def assert_no_dominated_vertex(core: SimplicialComplex) -> None:
+    closed = {v: {v} for v in core.faces[0][:, 0].tolist()}
+    for u, v in core.faces[1].tolist():
+        closed[u].add(v)
+        closed[v].add(u)
+    for u, v in core.faces[1].tolist():
+        assert not closed[u] <= closed[v] and not closed[v] <= closed[u]
+
+
+def test_core_of_complete_graph_is_one_vertex():
+    for m in range(1, 9):
+        g = Graph.from_edges(m, [(u, v) for u in range(m) for v in range(u + 1, m)])
+        c, core = collapse(g, min(m - 1, 4) or 1)
+        assert f_vector(core) == (1,) + (0,) * c.max_dim
+        assert betti_numbers(core).betti == betti_numbers(c).betti == (1,) + (0,) * (c.max_dim - 1)
+
+
+def test_cycles_and_octahedron_have_no_dominated_vertex():
+    for m in range(4, 10):
+        c, core = collapse(Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)]), 2)
+        assert core == c and betti_numbers(core).betti == (1, 1)
+    c, core = collapse(octahedron_graph(), 3)
+    assert core == c and betti_numbers(core).betti == (1, 0, 1)
+
+
+def test_core_keeps_isolated_vertices_and_every_component():
+    # isolated 0 and 11, triangle, path, K4, five-cycle, a star and a fan of triangles
+    edges = [(1, 2), (1, 3), (2, 3), (4, 5), (5, 6), (7, 8), (7, 9), (7, 10), (8, 9), (8, 10)]
+    edges += [(9, 10), (12, 13), (13, 14), (14, 15), (15, 16), (12, 16)]
+    edges += [(17, 18), (17, 19), (17, 20), (21, 22), (21, 23), (22, 23), (21, 24), (23, 24)]
+    g = Graph.from_edges(25, edges)
+    c, core = collapse(g, 3)
+    kept = core.faces[0][:, 0]
+    assert {0, 11} <= set(kept.tolist())
+    assert len(np.unique(components(g).label[kept])) == components(g).count == 8
+    assert betti_numbers(core).betti == betti_numbers(c).betti == (8, 1, 0)
+    assert f_vector(core) == (12, 5, 0, 0)  # one vertex per contractible component, C5 whole
+    assert_no_dominated_vertex(core)
+
+
+def flag_corpus():
+    """The graphs of the ER and Rips members of C01 and C03, then ten of each Rips
+    benchmark regime."""
+    for c in c01_complexes():
+        yield Graph.from_edges(c.vertex_count, c.faces[1])
+    for c in islice(c03_complexes(), 730):  # 400 ER, then 330 Rips; the Čech ones follow
+        yield Graph.from_edges(c.vertex_count, c.faces[1])
+    for spec in (RegimeSpec("rips", 1, 500, alpha=2.0), RegimeSpec("rips", 2, 150, alpha=1.0)):
+        for t in range(10):
+            pts = sample_points(spec.n, DensitySpec("uniform_cube", 2), RngStream(7, t))
+            yield geometric_graph(pts, spec.resolve_r())
+
+
+def test_core_betti_numbers_match_full_complex():
+    """Truncated at k+1, the core has the Betti numbers 0..k of the full complex."""
+    cores = 0  # (graph, k) pairs whose core is smaller than the complex
+    for g in flag_corpus():
+        for k in (1, 2, 3):
+            c, core = collapse(g, k + 1)
+            assert betti_numbers(core, k).betti == betti_numbers(c, k).betti
+            cores += f_vector(core) != f_vector(c)
+        assert_no_dominated_vertex(core)
+    assert cores > 2500  # 919 of the 950 graphs lose a vertex
+
+
+def test_core_betti_numbers_match_exact_oracle():
+    for g in islice(flag_corpus(), 0, 1000, 20):
+        c, core = collapse(g, min(g.vertex_count - 1, 5) or 1)
+        up_to = c.max_dim - 1
+        assert betti_numbers_exact(core, up_to).betti == betti_numbers_exact(c, up_to).betti
+        assert betti_numbers(core, up_to).betti == betti_numbers_exact(c, up_to).betti
