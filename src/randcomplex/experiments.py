@@ -8,10 +8,13 @@ summed exactly; floating point enters only in derived means and distances.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from . import __version__
 from .census import (
@@ -382,16 +385,92 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
+# lgamma(j + 1) at index j, read-only and shared by every call: each column of
+# an experiment reads what the earlier ones filled (docs/decisions.md, section 13)
+_log_factorials = np.zeros(0)
+_LOG_FACTORIALS_CAP = 1 << 20
+_TV_BLOCK = 512
+# bounds of the underflow argument of section 13: the relative error of the
+# computed exp argument, and an argument at or below -_ZERO_ARG gives exp 0.0
+_ARG_EPS = 2.0**-40
+_ZERO_ARG = 800.0
+
+
+def _log_factorial(a: int, b: int) -> np.ndarray:
+    """math.lgamma(j + 1) for j in [a, b): from the table, grown by doubling,
+    while b is within its cap, and evaluated directly past it."""
+    global _log_factorials
+    if b > _LOG_FACTORIALS_CAP:
+        return np.array(list(map(math.lgamma, range(a + 1, b + 1))))
+    n = len(_log_factorials)
+    if n < b:
+        size = min(max(b, 2 * n), _LOG_FACTORIALS_CAP)
+        grown = np.concatenate([_log_factorials, list(map(math.lgamma, range(n + 1, size + 1)))])
+        grown.flags.writeable = False
+        _log_factorials = grown
+    return _log_factorials[a:b]
+
+
+def _underflow_margin(x: int, lam: float, log_lam: float) -> float:
+    """A lower bound on minus the computed exp argument of the mass at j = x;
+    convex in x and nonincreasing on [0, lam] (section 13)."""
+    x_log_x = x * math.log(x) if x else 0.0
+    return (
+        (1 - _ARG_EPS) * (x_log_x - x)
+        - x * (log_lam + _ARG_EPS * abs(log_lam))
+        + (1 - _ARG_EPS) * lam
+    )
+
+
+def _left_zero_masses(lam: float, log_lam: float) -> int:
+    """The number of leading masses, j = 0, 1, ..., that underflow to 0.0."""
+    if _underflow_margin(0, lam, log_lam) < _ZERO_ARG:
+        return 0
+    lo, hi = 0, math.floor(lam) + 1  # the margin decreases on [0, lam]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _underflow_margin(mid, lam, log_lam) >= _ZERO_ARG:
+            lo = mid
+        else:
+            hi = mid
+    return lo + 1
+
+
+def _right_zero_masses(a: int, lam: float, log_lam: float) -> bool:
+    """Whether every mass at j >= a underflows to 0.0: the margin increases
+    from a on and is already past the bound there."""
+    return (
+        a > 0
+        and (1 - _ARG_EPS) * math.log(a) > log_lam + _ARG_EPS * abs(log_lam)
+        and _underflow_margin(a, lam, log_lam) >= _ZERO_ARG
+    )
+
+
+def _sample_index(x) -> int:
+    try:
+        j = int(x)
+    except (OverflowError, ValueError):
+        j = -1
+    if j < 0 or j != x:
+        raise ValueError(f"samples must be finite non-negative integers, got {x!r}")
+    return j
+
+
 def tv_to_poisson(samples, lam: float, weights=None) -> float:
     """Total variation distance between the empirical pmf and Poisson(lam).
 
     Summation runs from 0 to the first point where the Poisson upper tail
     drops below 1e-12 (and at least to the largest sample), so the cutoff
-    is deterministic. Each mass is evaluated once, and the terms are added
-    in order of j. The loop ends early past the mode and the largest sample
-    once twice the mass no longer moves the total, which keeps every bit
-    (docs/decisions.md, section 13). `weights` lets callers pass an exact
-    pmf instead of equal-weight samples.
+    is deterministic. The terms are added in order of j, and the sum ends
+    early past the mode and the largest sample once twice the mass no
+    longer moves the total. The masses are evaluated in blocks of
+    `_TV_BLOCK`, with lgamma(j + 1) from a table shared by every call; the
+    masses that provably underflow to 0.0, below the mode and past the
+    last nonzero one, are not evaluated. Every bit of the distance is that
+    of the one-mass-at-a-time loop (docs/decisions.md, section 13).
+    `weights` lets callers pass an exact pmf instead of equal-weight
+    samples. Samples must be finite non-negative integral values, and
+    weights finite and non-negative.
     """
     samples = list(samples)
     if not samples:
@@ -404,23 +483,52 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
         weights = list(weights)
         if len(weights) != len(samples):
             raise ValueError("weights must align with samples")
+        for w in weights:
+            if not 0 <= w < math.inf:
+                raise ValueError(f"weights must be finite and non-negative, got {w!r}")
     emp: dict[int, float] = {}
     for x, w in zip(samples, weights):
-        j = int(x)
-        if j < 0:
-            raise ValueError("samples must be non-negative integers")
+        j = _sample_index(x)
         emp[j] = emp.get(j, 0.0) + w
-    log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, max(emp)
-    cumulative = total = 0.0
-    j, tail = 0, True
-    while tail or j <= top:
-        p = math.exp(j * log_lam - lam - math.lgamma(j + 1))
-        cumulative += p
-        total += abs(emp.get(j, 0.0) - p)
-        if j > top and j > lam and p >= 2.0**-1022 and total + 2.0 * p == total:
-            break  # every later mass is below 2p, so adding it leaves the total's bits
-        j += 1
-        tail = tail and cumulative < 1.0 - 1e-12 and j <= far
+    keys = sorted(emp)
+    log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, keys[-1]
+    # a mass of 0.0 adds nothing to the running mass and emp(j) to the total
+    a = _left_zero_masses(lam, log_lam)
+    k = bisect.bisect_left(keys, a)
+    total = 0.0
+    for key in keys[:k]:
+        total += emp[key]
+    cumulative, tail = 0.0, True
+    while not _right_zero_masses(a, lam, log_lam):
+        b = (a // _TV_BLOCK + 1) * _TV_BLOCK
+        arg = np.arange(a, b) * log_lam - lam - _log_factorial(a, b)
+        p = np.array(list(map(math.exp, arg.tolist())))
+        e = np.zeros(b - a)
+        k_end = bisect.bisect_left(keys, b)
+        for key in keys[k:k_end]:
+            e[key - a] = emp[key]
+        k = k_end
+        mass = np.cumsum(np.concatenate(([cumulative], p)))[1:]
+        run = np.cumsum(np.concatenate(([total], np.abs(e - p))))[1:]
+        # the loop goes on to j + 1 = a + i + 1 while the tail or a sample
+        # reaches it, and no further once twice the mass past the largest
+        # sample and the mode leaves the total
+        i_tail = 0
+        if tail:
+            i_tail = min(int(np.searchsorted(mass, 1.0 - 1e-12)), math.floor(far) - a)
+        stop = max(i_tail, top - a)
+        i = max(0, top + 1 - a, math.floor(lam) + 1 - a)
+        if i < min(stop, b - a):
+            exits = (p[i:] >= 2.0**-1022) & (run[i:] + 2.0 * p[i:] == run[i:])
+            if exits.any():
+                stop = min(stop, i + int(exits.argmax()))
+        if stop < b - a:
+            return 0.5 * float(run[stop])
+        cumulative, total = float(mass[-1]), float(run[-1])
+        tail = tail and cumulative < 1.0 - 1e-12 and b <= far
+        a = b
+    for key in keys[k:]:
+        total += emp[key]
     return 0.5 * total
 
 
@@ -437,6 +545,8 @@ def ks_to_normal(samples, center: float, scale: float) -> float:
         raise ValueError("scale must be positive and finite")
     if not math.isfinite(center):
         raise ValueError("center must be finite")
+    if not all(-math.inf < x < math.inf for x in samples):
+        raise ValueError("samples must be finite")
     z = sorted((x - center) / scale for x in samples)
     m = len(z)
     d = 0.0

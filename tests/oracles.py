@@ -710,6 +710,30 @@ def tv_to_poisson_two_pass(samples, lam: float, weights=None) -> float:
     return 0.5 * total
 
 
+def tv_to_poisson_loop(samples, lam: float, weights=None) -> float:
+    """`experiments.tv_to_poisson` one mass at a time, with `math.lgamma` and
+    `math.exp` at each j and the tail exit: the slow path of the block form,
+    kept for bit-for-bit comparison."""
+    samples = list(samples)
+    if weights is None:
+        weights = [1.0 / len(samples)] * len(samples)
+    emp: dict[int, float] = {}
+    for x, w in zip(samples, weights):
+        emp[int(x)] = emp.get(int(x), 0.0) + w
+    log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, max(emp)
+    cumulative = total = 0.0
+    j, tail = 0, True
+    while tail or j <= top:
+        p = math.exp(j * log_lam - lam - math.lgamma(j + 1))
+        cumulative += p
+        total += abs(emp.get(j, 0.0) - p)
+        if j > top and j > lam and p >= 2.0**-1022 and total + 2.0 * p == total:
+            break  # every later mass is below 2p, so adding it leaves the total's bits
+        j += 1
+        tail = tail and cumulative < 1.0 - 1e-12 and j <= far
+    return 0.5 * total
+
+
 def tv_to_poisson_full_tail(samples, lam: float, weights=None) -> float:
     """`experiments.tv_to_poisson` without its early exit: one pass that runs to
     the 1 - 1e-12 tail or the lam + 40 sqrt(lam) + 100 guard, kept for

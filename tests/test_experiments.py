@@ -34,7 +34,11 @@ from randcomplex import (
 from randcomplex.experiments import density_power_integral
 
 from oracles import (
-    poisson_pmf_direct, tv_between_poissons, tv_to_poisson_full_tail, tv_to_poisson_two_pass
+    poisson_pmf_direct,
+    tv_between_poissons,
+    tv_to_poisson_full_tail,
+    tv_to_poisson_loop,
+    tv_to_poisson_two_pass,
 )
 
 
@@ -161,7 +165,17 @@ def test_tv_one_pass_matches_two_loops_bit_for_bit():
             )
 
 
-def test_tv_tail_exit_matches_full_loop_bit_for_bit(monkeypatch):
+def _exp_calls(f, *args, **kwargs):
+    """f(*args, **kwargs) and its count of math.exp calls, one per mass evaluated."""
+    calls, exp = [], math.exp
+    math.exp = lambda x: calls.append(x) or exp(x)
+    try:
+        return f(*args, **kwargs), len(calls)
+    finally:
+        math.exp = exp
+
+
+def test_tv_tail_exit_matches_full_loop_bit_for_bit():
     gen = RngStream(410).generator()
     lams = sorted({1e-3, 0.3, 1.0, 40.0, 3250.3, 3860.0, 4e4} | set(10 ** gen.uniform(-3, 4.6, 20)))
     for lam in lams:
@@ -178,12 +192,83 @@ def test_tv_tail_exit_matches_full_loop_bit_for_bit(monkeypatch):
             assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
                 tv_to_poisson_full_tail(samples, lam, weights=w)
             )
-    # the exit fires where the running mass never reaches 1 - 1e-12
-    masses, lgamma = [], math.lgamma
-    monkeypatch.setattr(experiments.math, "lgamma", lambda x: masses.append(x) or lgamma(x))
+    # the exit fires where the running mass never reaches 1 - 1e-12; the count
+    # is of masses evaluated, whatever the log-factorial table already holds
     draws = RngStream(411).generator().poisson(3860.0, size=10).tolist()
-    tv_to_poisson(draws, 3860.0)
-    assert len(masses) < 3860.0 + 40.0 * math.sqrt(3860.0) + 100 - 1000
+    _, masses = _exp_calls(tv_to_poisson, draws, 3860.0)
+    assert masses < 3860.0 + 40.0 * math.sqrt(3860.0) + 100 - 1000
+
+
+def test_tv_blocks_match_loop_bit_for_bit(monkeypatch):
+    gen = RngStream(412).generator()
+    block = experiments._TV_BLOCK
+    # the left-tail skip starts at the lam where the bound at j = 0 reaches the margin
+    skip = experiments._ZERO_ARG / (1.0 - experiments._ARG_EPS)
+    below, above = math.nextafter(skip, 0.0), math.nextafter(skip, math.inf)
+    assert experiments._left_zero_masses(below, math.log(below)) == 0
+    assert experiments._left_zero_masses(above, math.log(above)) == 1
+    lams = sorted(
+        {1e-3, 0.3, 1.0, 40.0, 799.0, below, skip, above, 801.0, 3250.3, 3860.0, 4e4}
+        | set(10 ** gen.uniform(-3, 4.6, 12))
+    )
+    for lam in lams:
+        draws = gen.poisson(lam, size=10).tolist()
+        cases = [
+            (draws, None),
+            (draws, gen.random(10).tolist()),
+            ([0] * 5, None),
+            ([int(lam)] * 3, None),
+            (draws + [int(lam + 60.0 * math.sqrt(lam) + 300)], None),
+            (gen.poisson(1.3 * lam, size=20).tolist(), None),
+            # a sample just past the end of the tail, where the masses still count
+            ([int(lam), int(lam + 7.0 * math.sqrt(lam)) + 2], None),
+        ]
+        for samples, w in cases:
+            assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
+                tv_to_poisson_loop(samples, lam, weights=w)
+            )
+    # at lam = 2700 the running mass never reaches 1 - 1e-12, so the guard at
+    # lam + 40 sqrt(lam) + 100 ends the sum; weights equal to the masses below it
+    # leave only the subnormal masses at and past the guard in the total
+    lam = 2700.0
+    guard = math.floor(lam + 40.0 * math.sqrt(lam) + 100)
+    support = list(range(guard))
+    pmf = [math.exp(j * math.log(lam) - lam - math.lgamma(j + 1)) for j in support]
+    assert repr(tv_to_poisson(support, lam, weights=pmf)) == repr(
+        tv_to_poisson_loop(support, lam, weights=pmf)
+    )
+    # a table that grows mid-call, several times, from a prefix of itself
+    table = experiments._log_factorials
+    monkeypatch.setattr(experiments, "_log_factorials", table[:block])
+    draws = gen.poisson(3860.0, size=10).tolist()
+    assert repr(tv_to_poisson(draws, 3860.0)) == repr(tv_to_poisson_loop(draws, 3860.0))
+    table = experiments._log_factorials
+    assert len(table) > 4 * block and not table.flags.writeable
+    assert table[::97].tolist() == [math.lgamma(j + 1) for j in range(0, len(table), 97)]
+    # the stop index at the first and at the last slot of a block, from the exit past
+    # the largest sample at lam = 3860 and from the end of the tail at lam near 370,
+    # and samples exactly at a block boundary
+    edge = 9 * block
+    cases = [([3860, top], 3860.0) for top in (edge - 2, edge - 1, edge, edge + block - 1)]
+    cases += [([0], lam) for lam in np.linspace(366.0, 371.0, 26).tolist()]
+    cases += [([block, 2 * block], 1.0), ([0, block], 40.0), ([edge], 3860.0)]
+    slots = set()
+    for samples, lam in cases:
+        slots.add((_exp_calls(tv_to_poisson_loop, samples, lam)[1] - 1) % block)
+        assert repr(tv_to_poisson(samples, lam)) == repr(tv_to_poisson_loop(samples, lam))
+    assert {0, block - 1} <= slots
+
+
+def test_tv_cost_stops_growing_past_the_zero_masses():
+    for lam in (1.0, 3860.0):
+        counts = []
+        for offset in (10**3, 10**4, 10**5, 10**6):
+            samples = [int(lam), int(lam) + offset]
+            got, masses = _exp_calls(tv_to_poisson, samples, lam)
+            counts.append(masses)
+            assert repr(got) == repr(tv_to_poisson_full_tail(samples, lam))
+        assert max(counts) <= lam + 40.0 * math.sqrt(lam) + 100 + experiments._TV_BLOCK
+        assert counts[-1] == counts[-2]
 
 
 def test_tv_input_validation():
@@ -193,6 +278,13 @@ def test_tv_input_validation():
         tv_to_poisson([1, 2], 0.0)
     with pytest.raises(ValueError):
         tv_to_poisson([1, -2], 1.0)
+    for samples in ([2.7, 3.2], [1, -0.5], [1, math.inf], [-math.inf], [math.nan, 1]):
+        with pytest.raises(ValueError, match="samples must be finite non-negative integers"):
+            tv_to_poisson(samples, 1.0)
+    for weights in ([math.nan, 1.0], [-5.0, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            tv_to_poisson([1, 2], 1.0, weights=weights)
+    assert tv_to_poisson([2.0, 3.0, np.int64(4)], 3.0) == tv_to_poisson([2, 3, 4], 3.0)
     for lam in (math.inf, math.nan, -math.inf):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             tv_to_poisson([1, 2, 3], lam)
@@ -246,6 +338,9 @@ def test_ks_input_validation():
     for scale in (math.nan, math.inf):
         with pytest.raises(ValueError, match="scale must be positive and finite"):
             ks_to_normal([1, 2, 3], 0.0, scale)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            ks_to_normal([1, 2, bad], 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
