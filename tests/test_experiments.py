@@ -192,11 +192,13 @@ def test_tv_tail_exit_matches_full_loop_bit_for_bit():
             assert repr(tv_to_poisson(samples, lam, weights=w)) == repr(
                 tv_to_poisson_full_tail(samples, lam, weights=w)
             )
-    # the exit fires where the running mass never reaches 1 - 1e-12; the count
-    # is of masses evaluated, whatever the log-factorial table already holds
+    # the exit fires where the running mass never reaches 1 - 1e-12: the masses
+    # evaluated, whatever the log-factorial table already holds, run from the
+    # left-tail skip to more than 1000 short of the guard
     draws = RngStream(411).generator().poisson(3860.0, size=10).tolist()
     _, masses = _exp_calls(tv_to_poisson, draws, 3860.0)
-    assert masses < 3860.0 + 40.0 * math.sqrt(3860.0) + 100 - 1000
+    last = experiments._left_zero_masses(3860.0, math.log(3860.0)) + masses
+    assert last < 3860.0 + 40.0 * math.sqrt(3860.0) + 100 - 1000
 
 
 def test_tv_blocks_match_loop_bit_for_bit(monkeypatch):
@@ -245,6 +247,13 @@ def test_tv_blocks_match_loop_bit_for_bit(monkeypatch):
     table = experiments._log_factorials
     assert len(table) > 4 * block and not table.flags.writeable
     assert table[::97].tolist() == [math.lgamma(j + 1) for j in range(0, len(table), 97)]
+    # past the table's cap the log-factorials are evaluated directly, with the same bits
+    monkeypatch.setattr(experiments, "_log_factorials", table[:block])
+    monkeypatch.setattr(experiments, "_LOG_FACTORIALS_CAP", 4 * block)
+    for samples in (draws, [3860, 9 * block]):
+        assert repr(tv_to_poisson(samples, 3860.0)) == repr(tv_to_poisson_loop(samples, 3860.0))
+    assert len(experiments._log_factorials) == 4 * block
+    monkeypatch.undo()
     # the stop index at the first and at the last slot of a block, from the exit past
     # the largest sample at lam = 3860 and from the end of the tail at lam near 370,
     # and samples exactly at a block boundary
