@@ -37,10 +37,8 @@ from .complexes import (
     MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _deletions, _face_keys, _face_rows,
     components
 )
-from .generators import (
-    RngStream, balls_intersect, cech_complex, cliques_of_order, geometric_graph
-)
-from .miniball import RADIUS_RTOL, triangle_radius
+from .generators import RngStream, cech_complex, cliques_of_order, geometric_graph
+from .miniball import RADIUS_RTOL, enclosing_radius
 
 # ---------------------------------------------------------------------------
 # Canonical forms for small graphs
@@ -691,10 +689,7 @@ def estimate_mu(
         dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
         radii = 2.0 * gen.random((m, k - 1)) ** (1.0 / d)
         Y = dirs * radii[:, :, None]
-        if k == 3:
-            hits += _hits_k3(Y, rho)
-        else:
-            hits += _hits_general(Y, rho)
+        hits += _hits(Y, rho)
         done += m
         block += 1
     vol = (unit_ball_volume(d) * 2.0**d) ** (k - 1)
@@ -704,24 +699,24 @@ def estimate_mu(
     return MuEstimate(value, se, samples, hits)
 
 
-def _hits_k3(Y: np.ndarray, rho: float) -> int:
-    pair_ok = np.linalg.norm(Y[:, 0] - Y[:, 1], axis=1) <= 2.0
-    radius = triangle_radius(np.concatenate((np.zeros_like(Y[:, :1]), Y), axis=1))
-    return int(np.count_nonzero(pair_ok & (radius > rho * (1.0 + RADIUS_RTOL))))
+def _hits(Y: np.ndarray, rho: float) -> int:
+    """Samples (0, y_2, .., y_k) that form a clique of the 2-graph whose radius-rho
+    balls share no point while the unit balls about every facet do.
 
-
-def _hits_general(Y: np.ndarray, rho: float) -> int:
-    """Samples (0, y_2, .., y_k), k >= 4, that form a clique of the 2-graph whose
-    radius-rho balls share no point while the unit balls about every facet do."""
-    hits = 0
-    origin = np.zeros((1, Y.shape[2]))
-    for row in Y:
-        pts = np.concatenate([origin, row], axis=0)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0) or balls_intersect(pts, rho):
-            continue
-        hits += all(balls_intersect(np.delete(pts, i, axis=0), 1.0) for i in range(len(pts)))
-    return hits
+    The pairs y_i, y_j are tested first, then the whole set, then each
+    facet, each test on the rows the one before kept (docs/decisions.md,
+    section 10).
+    """
+    k = Y.shape[1] + 1
+    keep = np.ones(len(Y), dtype=bool)
+    for i, j in combinations(range(k - 1), 2):
+        keep &= np.linalg.norm(Y[:, i] - Y[:, j], axis=1) <= 2.0
+    X = np.concatenate((np.zeros_like(Y[:, :1]), Y), axis=1)[keep]
+    X = X[enclosing_radius(X) > rho * (1.0 + RADIUS_RTOL)]
+    if k >= 4:  # the facets of a triangle are its pairs
+        for i in range(k):
+            X = X[enclosing_radius(np.delete(X, i, axis=1)) <= 1.0 + RADIUS_RTOL]
+    return len(X)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Graph, PointCloud, SimplicialComplex, _face_keys, _face_rows
-from .miniball import RADIUS_RTOL, min_enclosing_radius, triangle_radius
+from .miniball import RADIUS_RTOL, enclosing_radius, min_enclosing_radius
 
 DENSITY_KINDS = ("uniform_cube", "gaussian")
 
@@ -165,7 +165,7 @@ def geometric_graph(pts: PointCloud, r: float) -> Graph:
     window is padded past the largest x-gap that test can accept, so it
     never drops a kept pair (docs/decisions.md, section 7).
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     P = pts.points
     n = P.shape[0]
@@ -206,7 +206,7 @@ def balls_intersect(centers: np.ndarray, r: float) -> bool:
     Equivalent to the smallest-enclosing-ball radius being <= r; compared
     with relative tolerance RADIUS_RTOL.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     return min_enclosing_radius(centers) <= r * (1.0 + RADIUS_RTOL)
 
@@ -219,24 +219,22 @@ def cech_complex(
     The 1-skeleton equals the geometric graph at scale r (two r-balls meet
     iff centers are <= 2r apart); higher faces are cliques of that graph
     whose full ball intersection is nonempty, taken from g's memoized
-    expansion: every triangle in one `triangle_radius` call, and from
-    dimension 3 up each clique whose prefix face was kept (by the face
-    keys) and whose balls meet, which by monotonicity finds every face
-    (docs/decisions.md, section 6). Pass `graph` to reuse a geometric graph
-    already built at the same scale.
+    expansion. Each layer from dimension 2 up is decided by one
+    `enclosing_radius` call, on the cliques whose prefix face was kept (by
+    the face keys; every prefix of a triangle is an edge), which by
+    monotonicity finds every face (docs/decisions.md, section 6). Pass
+    `graph` to reuse a geometric graph already built at the same scale.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     g = geometric_graph(pts, r) if graph is None else graph
     n, P = g.vertex_count, pts.points
     cliques = _cliques_up_to(g, max_dim)
-    faces = list(cliques[:3])
-    if max_dim >= 2:
-        faces[2] = faces[2][triangle_radius(P[faces[2]]) <= r * (1.0 + RADIUS_RTOL)]
-    for layer in cliques[3:]:
-        _, keep = _face_rows(_face_keys(faces, n, len(faces)), n, layer)
-        keep[keep] = [balls_intersect(P[f], r) for f in layer[keep]]
-        faces.append(layer[keep])
+    faces = list(cliques[:2])
+    for layer in cliques[2:]:
+        if len(faces) > 2:  # a triangle's prefix is an edge, and every edge is kept
+            layer = layer[_face_rows(_face_keys(faces, n, len(faces)), n, layer)[1]]
+        faces.append(layer[enclosing_radius(P[layer]) <= r * (1.0 + RADIUS_RTOL)])
     return SimplicialComplex(n, tuple(faces), max_dim)

@@ -1,4 +1,4 @@
-"""Smallest enclosing ball in R^d, Welzl's algorithm with move-to-front.
+"""Smallest enclosing ball radii in R^d, for arrays of point sets.
 
 The ball-intersection predicate for Cech faces reduces to this: closed
 balls of radius r about a point set share a point iff the smallest
@@ -7,75 +7,16 @@ enclosing ball of the set has radius <= r.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 # Relative slack on radius comparisons; ties have probability zero for
 # continuous densities, the slack only guards float round-off.
 RADIUS_RTOL = 1e-10
 
-
-def _ball_from_boundary(boundary: list[np.ndarray]) -> tuple[np.ndarray, float] | None:
-    """Smallest ball with all of `boundary` on its surface, or None if degenerate.
-
-    The center lies in the affine hull of the boundary points; solving the
-    equidistance conditions there gives a (len-1) x (len-1) Gram system.
-    """
-    m = len(boundary)
-    if m == 0:
-        return None
-    base = boundary[0]
-    if m == 1:
-        return base.copy(), 0.0
-    V = np.array([q - base for q in boundary[1:]])
-    gram = 2.0 * (V @ V.T)
-    rhs = np.einsum("ij,ij->i", V, V)
-    try:
-        lam = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    offset = V.T @ lam
-    center = base + offset
-    return center, float(np.linalg.norm(offset))
-
-
-def _contains(ball: tuple[np.ndarray, float] | None, p: np.ndarray) -> bool:
-    if ball is None:
-        return False
-    center, radius = ball
-    return float(np.linalg.norm(p - center)) <= radius * (1.0 + RADIUS_RTOL) + 1e-300
-
-
-def _welzl(pts: list[np.ndarray], limit: int, boundary: list[np.ndarray], dim: int):
-    ball = _ball_from_boundary(boundary)
-    if len(boundary) == dim + 1:
-        return ball
-    i = 0
-    while i < limit:
-        p = pts[i]
-        if not _contains(ball, p):
-            ball = _welzl(pts, i, boundary + [p], dim)
-            # move-to-front: offending points surface early in later passes
-            pts.insert(0, pts.pop(i))
-        i += 1
-    return ball
-
-
-def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Center and radius of the smallest ball enclosing `points` (shape (m, d))."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise ValueError("need at least one point of shape (m, d)")
-    m, d = pts.shape
-    if m == 1:
-        return pts[0].copy(), 0.0
-    if m == 2:
-        center = 0.5 * (pts[0] + pts[1])
-        return center, float(np.linalg.norm(pts[0] - center))
-    work = [pts[i] for i in range(m)]
-    ball = _welzl(work, m, [], d)
-    if ball is None:  # all points coincide up to round-off
-        return pts[0].copy(), 0.0
-    return ball
+# (set, support subset) pairs per array step of enclosing_radius; bounds its scratch memory
+_BALL_BLOCK = 1 << 12
 
 
 def triangle_radius(tri: np.ndarray) -> np.ndarray:
@@ -103,9 +44,60 @@ def triangle_radius(tri: np.ndarray) -> np.ndarray:
     return radius
 
 
+def _support_radii(P: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Smallest radius, per set of P (N, m, d), of a circumball of one of the
+    `subsets` (c, s) that holds all m points; inf where none does.
+
+    The circumcenter of a support set lies in its affine hull: base + V^T lam
+    with 2 V V^T lam = diag(V V^T), V the other points less the base. A
+    singular system is replaced by lam = 0, the radius-0 ball at the base.
+    """
+    S = P[:, subsets].transpose(3, 2, 0, 1)  # (d, s, N, c): one coordinate of one point
+    V = S[:, 1:] - S[:, :1]
+    # Python's sum adds over the first axis one term at a time: no BLAS call, no pairwise sum
+    gram = sum(v[:, None] * v[None] for v in V).transpose(2, 3, 0, 1)  # (N, c, s-1, s-1)
+    rhs = np.diagonal(gram, axis1=-2, axis2=-1).copy()
+    gram = 2.0 * gram
+    try:
+        lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # an exactly singular system: LU met a zero pivot
+        singular = np.linalg.slogdet(gram)[0] == 0.0
+        gram[singular], rhs[singular] = np.eye(gram.shape[-1]), 0.0
+        lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    offset = sum(lam[..., i] * V[:, i] for i in range(lam.shape[-1]))  # (d, N, c)
+    radius = np.sqrt(sum(offset * offset))
+    points, center = P.transpose(2, 0, 1)[..., None], S[:, 0] + offset  # (d, N, m, 1), (d, N, c)
+    dist = np.sqrt(sum(np.square(p - x[:, None]) for p, x in zip(points, center)))  # (N, m, c)
+    holds = (dist <= (radius * (1.0 + RADIUS_RTOL) + 1e-300)[:, None]).all(axis=1)
+    return np.where(holds, radius, np.inf).min(axis=1)
+
+
+def enclosing_radius(P: np.ndarray) -> np.ndarray:
+    """Smallest-enclosing-ball radii of point sets: (N, m, d) -> (N,).
+
+    Up to three points take `triangle_radius`, the last point repeated.
+    Larger sets take the smallest circumball of a support subset of 2 to
+    d + 1 points that holds the whole set, all subsets of one size in one
+    batched solve, `_BALL_BLOCK` (set, subset) pairs at a time; every row
+    is computed alone, so its bits do not depend on the batch
+    (docs/decisions.md, section 6).
+    """
+    P = np.asarray(P, dtype=np.float64)
+    N, m, d = P.shape
+    if m == 0:
+        raise ValueError("need at least one point per set")
+    if m <= 3 or d == 0:  # in R^0 every set is one point
+        return triangle_radius(P if m == 3 else P[:, np.minimum([0, 1, 2], m - 1)])
+    best = np.full(N, np.inf)
+    for s in range(2, min(m, d + 1) + 1):
+        subsets = np.array(list(combinations(range(m), s)))
+        step = max(1, _BALL_BLOCK // len(subsets))
+        for a in range(0, N, step):
+            rows = slice(a, a + step)
+            best[rows] = np.minimum(best[rows], _support_radii(P[rows], subsets))
+    return best
+
+
 def min_enclosing_radius(points: np.ndarray) -> float:
-    """Radius only: up to three points take `triangle_radius`, the last point repeated."""
-    pts = np.asarray(points, dtype=np.float64)
-    if not 1 <= len(pts) <= 3:
-        return min_enclosing_ball(pts)[1]
-    return float(triangle_radius(pts[None, np.minimum([0, 1, 2], len(pts) - 1)])[0])
+    """Smallest-enclosing-ball radius of one point set (m, d): `enclosing_radius` on one row."""
+    return float(enclosing_radius(np.asarray(points, dtype=np.float64)[None])[0])

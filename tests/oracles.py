@@ -18,9 +18,10 @@ from randcomplex import (
     ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, SimplicialComplex,
     canonical_form, cech_complex, clique_complex, gen_er_graph, geometric_graph, sample_points
 )
+from randcomplex.census import MU_BLOCK_SIZE
 from randcomplex.generators import cliques_of_order
 from randcomplex.homology import BoundaryMatrix
-from randcomplex.miniball import RADIUS_RTOL, min_enclosing_ball
+from randcomplex.miniball import RADIUS_RTOL
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,71 @@ def ball_intersection_by_projection(points: np.ndarray, r: float, iters: int = 4
     if worst > r * (1 + 1e-6):
         return False
     return None
+
+
+def _ball_from_boundary(boundary: list[np.ndarray]) -> tuple[np.ndarray, float] | None:
+    """Smallest ball with all of `boundary` on its surface, or None if degenerate.
+
+    The center lies in the affine hull of the boundary points; solving the
+    equidistance conditions there gives a (len-1) x (len-1) Gram system.
+    """
+    m = len(boundary)
+    if m == 0:
+        return None
+    base = boundary[0]
+    if m == 1:
+        return base.copy(), 0.0
+    V = np.array([q - base for q in boundary[1:]])
+    gram = 2.0 * (V @ V.T)
+    rhs = np.einsum("ij,ij->i", V, V)
+    try:
+        lam = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    offset = V.T @ lam
+    center = base + offset
+    return center, float(np.linalg.norm(offset))
+
+
+def _contains(ball: tuple[np.ndarray, float] | None, p: np.ndarray) -> bool:
+    if ball is None:
+        return False
+    center, radius = ball
+    return float(np.linalg.norm(p - center)) <= radius * (1.0 + RADIUS_RTOL) + 1e-300
+
+
+def _welzl(pts: list[np.ndarray], limit: int, boundary: list[np.ndarray], dim: int):
+    ball = _ball_from_boundary(boundary)
+    if len(boundary) == dim + 1:
+        return ball
+    i = 0
+    while i < limit:
+        p = pts[i]
+        if not _contains(ball, p):
+            ball = _welzl(pts, i, boundary + [p], dim)
+            # move-to-front: offending points surface early in later passes
+            pts.insert(0, pts.pop(i))
+        i += 1
+    return ball
+
+
+def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Center and radius of the smallest ball enclosing `points` (shape (m, d)), by
+    Welzl's recursion with move-to-front: the slow path of `miniball.enclosing_radius`."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise ValueError("need at least one point of shape (m, d)")
+    m, d = pts.shape
+    if m == 1:
+        return pts[0].copy(), 0.0
+    if m == 2:
+        center = 0.5 * (pts[0] + pts[1])
+        return center, float(np.linalg.norm(pts[0] - center))
+    work = [pts[i] for i in range(m)]
+    ball = _welzl(work, m, [], d)
+    if ball is None:  # all points coincide up to round-off
+        return pts[0].copy(), 0.0
+    return ball
 
 
 def min_enclosing_radius_by_dot(points: np.ndarray) -> float:
@@ -793,3 +859,34 @@ def mu_quadrature_k3(d: int, cells_per_axis: int) -> float:
         r2 = np.where(obtuse, big / 4.0, x * y * z / np.maximum(area16, 1e-300))
     empty = r2 > 1.0
     return float(np.count_nonzero(pair_ok & empty)) * h ** (2 * d)
+
+
+def mu_hits_per_sample(k: int, d: int, samples: int, rng, rho: float = 1.0) -> int:
+    """The hit count of `census.estimate_mu` by one scalar test per sample, on the
+    same block draws: the slow path of `census._hits`.
+
+    A sample (0, y_2, .., y_k) hits when all its squared pair distances are
+    <= 4, its radius-rho balls share no point and, for k >= 4, the unit balls
+    about each facet do, radii from `min_enclosing_radius_by_dot`.
+    """
+    hits = done = block = 0
+    while done < samples:
+        m = min(MU_BLOCK_SIZE, samples - done)
+        gen = rng.block(block)
+        dirs = gen.standard_normal((m, k - 1, d))
+        dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+        Y = dirs * (2.0 * gen.random((m, k - 1)) ** (1.0 / d))[:, :, None]
+        for row in Y:
+            pts = np.concatenate([np.zeros((1, d)), row], axis=0)
+            diffs = pts[:, None, :] - pts[None, :, :]
+            if np.any(np.einsum("ijk,ijk->ij", diffs, diffs) > 4.0):
+                continue
+            if min_enclosing_radius_by_dot(pts) <= rho * (1.0 + RADIUS_RTOL):
+                continue
+            hits += k == 3 or all(
+                min_enclosing_radius_by_dot(np.delete(pts, i, axis=0)) <= 1.0 + RADIUS_RTOL
+                for i in range(k)
+            )
+        done += m
+        block += 1
+    return hits

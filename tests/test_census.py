@@ -58,6 +58,7 @@ from oracles import (
     brute_y_count,
     brute_z_count,
     faces_on_large_components_by_size_of,
+    mu_hits_per_sample,
     mu_quadrature_k3,
     tree_counts_by_centres,
     y_count_by_sets,
@@ -723,3 +724,14 @@ def test_mu_repeats_exactly():
     a = estimate_mu(3, 2, 40_000, RngStream(611))
     b = estimate_mu(3, 2, 40_000, RngStream(611))
     assert a == b
+    assert a.hits == mu_hits_per_sample(3, 2, 40_000, RngStream(611))
+    # the array kernel against one scalar test per sample, on the same draws;
+    # hits are rare for k > d at rho = 1 (Helly rules them out at k = d + 2),
+    # and rho = 0.9 gives k = 5 hits
+    for k, d, rho, seed in [
+        (3, 3, 1.0, 612), (4, 2, 1.0, 613), (4, 3, 1.0, 614),
+        (5, 3, 1.0, 615), (5, 4, 1.0, 616), (5, 3, 0.9, 617), (5, 4, 0.9, 618),
+    ]:
+        est = estimate_mu(k, d, 3_000, RngStream(seed), full_intersection_radius=rho)
+        assert est.hits == mu_hits_per_sample(k, d, 3_000, RngStream(seed), rho)
+        assert est.hits > 0 or (rho == 1.0 and k > d)

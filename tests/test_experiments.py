@@ -7,6 +7,7 @@ import math
 import re
 import statistics
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from randcomplex import (
     theorem_targets,
     tv_to_poisson,
 )
+from randcomplex import census, miniball
 from randcomplex.experiments import density_power_integral
 
 from oracles import (
@@ -768,32 +770,28 @@ def test_trial_reads_no_per_vertex_memo(monkeypatch, memo, name):
 def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
     """S and S_iso are read off the built complex: no second ball test.
 
-    A ball test is one triple of a `triangle_radius` call (the triangle
-    layer) or one `min_enclosing_radius` call (Welzl, 4 or more points).
+    A ball test is one set passed to `enclosing_radius`, the one radius
+    kernel; the sets are counted by size wherever the kernel is called.
     """
-    calls = {"triples": 0, "welzl": 0}
-    radius, triangles = generators.min_enclosing_radius, generators.triangle_radius
+    sets = Counter()
+    kernel = miniball.enclosing_radius
 
-    def counted_radius(centers):
-        calls["welzl"] += 1
-        return radius(centers)
+    def counted(P):
+        sets[np.shape(P)[1]] += len(P)
+        return kernel(P)
 
-    def counted_triangles(tri):
-        calls["triples"] += len(tri)
-        return triangles(tri)
-
-    # every balls_intersect call runs counted_radius once, under whichever name it was imported
-    monkeypatch.setattr(generators, "min_enclosing_radius", counted_radius)
-    monkeypatch.setattr(generators, "triangle_radius", counted_triangles)
+    for module in (miniball, generators, census):
+        monkeypatch.setattr(module, "enclosing_radius", counted)
     for spec in (PIPELINE_SPECS["cech"], RegimeSpec(model="cech", k=4, n=120, d=3, alpha=5.0)):
-        calls.update(triples=0, welzl=0)
+        sets.clear()
         instance_census(spec, RngStream(31, 0))
-        in_trial = dict(calls)
-        calls.update(triples=0, welzl=0)
+        in_trial = dict(sets)
+        sets.clear()
         pts = generators.sample_points(
             spec.n, generators.DensitySpec(spec.density, spec.d), RngStream(31, 0)
         )
         r = spec.resolve_r()
         generators.cech_complex(pts, r, spec.k - 1, graph=generators.geometric_graph(pts, r))
-        assert in_trial == calls and calls["triples"] > 0
-        assert (calls["welzl"] > 0) == (spec.k >= 4)  # Welzl only from dimension 3 up
+        assert in_trial == dict(sets)
+        # sets of 3 up to k points: every layer the complex holds, none beyond
+        assert sorted(sets) == list(range(3, spec.k + 1)) and all(sets.values())

@@ -194,9 +194,16 @@ def test_geometric_graph_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         geometric_graph(pts, 0.0)
     triangle = PointCloud(2, EQUILATERAL)
-    for r in (0.0, -1.0):  # also with a graph given, whose triangle needs no Welzl call
+    for r in (0.0, -1.0, math.nan):  # also with a graph given: cech_complex checks r itself
         with pytest.raises(ValueError, match="positive"):
             cech_complex(triangle, r, 2, graph=geometric_graph(triangle, 1.2))
+    # NaN fails every comparison, so it would give an edgeless graph and no face
+    with pytest.raises(ValueError, match="positive"):
+        geometric_graph(triangle, math.nan)
+    with pytest.raises(ValueError, match="positive"):
+        rips_complex(triangle, math.nan, 2)
+    with pytest.raises(ValueError, match="positive"):
+        generators.balls_intersect(EQUILATERAL, math.nan)
 
 
 def _window_cases():
@@ -342,12 +349,13 @@ def test_cech_faces_match_ball_intersection_definition():
     [
         (RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0), 200),
         (RegimeSpec(model="cech", k=4, n=300, d=3, alpha=5.0), 8),
+        (RegimeSpec(model="cech", k=5, n=200, d=3, alpha=20.0), 2),
     ],
-    ids=["cech-k3-n2000", "cech-k4-d3"],
+    ids=["cech-k3-n2000", "cech-k4-d3", "cech-k5-d3"],
 )
 def test_cech_complex_matches_per_face_filter_bit_for_bit(spec, clouds):
-    """One `triangle_radius` call per triangle layer and the face-key prefix test
-    keep the faces of the scalar `d @ d` filter with Python-set prefixes."""
+    """One `enclosing_radius` call per layer and the face-key prefix test keep
+    the faces of the scalar `d @ d` and Welzl filter with Python-set prefixes."""
     r = spec.resolve_r()
     rejected = [0] * spec.k
     for t in range(clouds):

@@ -1,4 +1,4 @@
-"""Welzl smallest enclosing ball against exhaustive and projection oracles."""
+"""The array smallest-enclosing-ball kernel against Welzl, exhaustive and projection oracles."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ import warnings
 import numpy as np
 import pytest
 
-from randcomplex import RngStream, balls_intersect
-from randcomplex.miniball import min_enclosing_ball, min_enclosing_radius, triangle_radius
+from randcomplex import RngStream, balls_intersect, miniball
+from randcomplex.miniball import enclosing_radius, min_enclosing_radius, triangle_radius
 
-from oracles import ball_intersection_by_projection, meb_radius_exhaustive
+from oracles import ball_intersection_by_projection, meb_radius_exhaustive, min_enclosing_ball
 
 
 def test_two_points_tangency():
@@ -73,6 +73,8 @@ def test_three_point_radius_matches_scalar():
 
 
 def test_welzl_agrees_with_exhaustive_oracle():
+    """`min_enclosing_radius`, the array kernel on one set, against the
+    exhaustive support-subset oracle."""
     # spec invariant: 1e4 random instances, d <= 4, set sizes <= 6
     gen = RngStream(2024).generator()
     for _ in range(10_000):
@@ -85,6 +87,7 @@ def test_welzl_agrees_with_exhaustive_oracle():
 
 
 def test_welzl_agrees_with_projection_feasibility():
+    """`balls_intersect` on the array kernel against alternating projections."""
     gen = RngStream(77).generator()
     checked = 0
     for _ in range(300):
@@ -105,3 +108,48 @@ def test_degenerate_duplicate_points():
     assert min_enclosing_radius(pts) == pytest.approx(0.0, abs=1e-12)
     center, radius = min_enclosing_ball(np.array([[2.0, 3.0], [2.0, 3.0]]))
     assert radius == 0.0 and center.tolist() == [2.0, 3.0]
+    # four or more points: every support subset with a repeated point or a
+    # flat hull has a singular Gram system, which must not undercut the minimum
+    sets = [
+        [[1.0, 2.0, 3.0]] * 4,  # coincident
+        [[1.0, 2.0, 3.0]] * 5 + [[1.0, 2.0, 4.0]],  # coincident but one
+        [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [3.0, 3.0, 3.0], [2.0, 2.0, 2.0]],  # collinear
+        [[0.0, 0.0], [2.0, 0.0], [0.5, 0.0], [1.5, 0.0], [1.0, 0.0]],  # collinear in the plane
+        [[0.0, 0.0, 5.0], [2.0, 0.0, 5.0], [0.0, 2.0, 5.0], [2.0, 2.0, 5.0]],  # coplanar square
+        [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [1.0, 0.5, 0.0], [2.0, 1.0, 0.0]],  # coplanar, obtuse
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],  # duplicated pairs
+        [[3.0], [1.0], [3.0], [-2.0]],  # d = 1
+        [[]] * 4,  # d = 0
+    ]
+    expected = [0.0, 0.5, 1.5 * math.sqrt(3.0), 1.0, math.sqrt(2.0), 2.0, None, None, 2.5, 0.0]
+    for pts, want in zip(sets, expected):
+        pts = np.array(pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            mine = min_enclosing_radius(pts)
+        assert mine == pytest.approx(min_enclosing_ball(pts)[1], rel=1e-12, abs=1e-15)
+        assert mine == pytest.approx(meb_radius_exhaustive(pts), rel=1e-12, abs=1e-15)
+        if want is not None:
+            assert mine == pytest.approx(want, rel=1e-15)
+
+
+def test_enclosing_radius_bits_alone_in_a_batch_and_across_blocks(monkeypatch):
+    """Each row is computed alone: the same bits for one set, inside a batch,
+    and on either side of a `_BALL_BLOCK` boundary, block-aligned or not."""
+    gen = RngStream(11).generator()
+    for m, d in [(4, 2), (4, 3), (5, 3), (6, 4)]:
+        P = gen.standard_normal((41, m, d))
+        P[7] = P[7, [0, 0, 1, 2] + list(range(3, m - 1))]  # a repeated point
+        alone = [enclosing_radius(p[None])[0] for p in P]
+        whole = enclosing_radius(P)
+        assert whole.tolist() == alone
+        # steps of one set, of 1 to 10 sets by subset size, and of about 4 sets
+        for block in (1, 10, 4 * math.comb(m, 3) + 1):
+            monkeypatch.setattr(miniball, "_BALL_BLOCK", block)
+            assert enclosing_radius(P).tolist() == alone
+            assert enclosing_radius(P[5:]).tolist() == alone[5:]
+        monkeypatch.undo()
+    assert enclosing_radius(np.empty((0, 5, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        enclosing_radius(np.empty((2, 0, 3)))
