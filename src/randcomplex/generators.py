@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import Graph, PointCloud, SimplicialComplex, _face_keys, _face_rows
-from .miniball import RADIUS_RTOL, enclosing_radius, min_enclosing_radius
+from .miniball import RADIUS_RTOL, enclosing_radius
 
 DENSITY_KINDS = ("uniform_cube", "gaussian")
 
@@ -204,11 +204,13 @@ def balls_intersect(centers: np.ndarray, r: float) -> bool:
     """Do closed balls of radius r about all centers share a point?
 
     Equivalent to the smallest-enclosing-ball radius being <= r; compared
-    with relative tolerance RADIUS_RTOL.
+    with relative tolerance RADIUS_RTOL. The radius search tries every
+    support subset, m * sum(C(m, s), s = 2..d + 1) work for m centers.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    return min_enclosing_radius(centers) <= r * (1.0 + RADIUS_RTOL)
+    radius = enclosing_radius(np.asarray(centers, dtype=np.float64)[None])[0]
+    return bool(radius <= r * (1.0 + RADIUS_RTOL))
 
 
 def cech_complex(

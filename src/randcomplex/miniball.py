@@ -7,7 +7,7 @@ enclosing ball of the set has radius <= r.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -66,8 +66,9 @@ def _support_radii(P: np.ndarray, subsets: np.ndarray) -> np.ndarray:
         lam = np.linalg.solve(gram, rhs[..., None])[..., 0]
     offset = sum(lam[..., i] * V[:, i] for i in range(lam.shape[-1]))  # (d, N, c)
     radius = np.sqrt(sum(offset * offset))
-    points, center = P.transpose(2, 0, 1)[..., None], S[:, 0] + offset  # (d, N, m, 1), (d, N, c)
-    dist = np.sqrt(sum(np.square(p - x[:, None]) for p, x in zip(points, center)))  # (N, m, c)
+    # |(x - base) - offset|, x - base taken as V is: no centre rounded at the points' scale
+    points, base = P.transpose(2, 0, 1)[..., None], S[:, 0, :, None]  # (d, N, m, 1), (d, N, 1, c)
+    dist = np.sqrt(sum(np.square(p - x0 - o) for p, x0, o in zip(points, base, offset[:, :, None])))
     holds = (dist <= (radius * (1.0 + RADIUS_RTOL) + 1e-300)[:, None]).all(axis=1)
     return np.where(holds, radius, np.inf).min(axis=1)
 
@@ -77,8 +78,10 @@ def enclosing_radius(P: np.ndarray) -> np.ndarray:
 
     Up to three points take `triangle_radius`, the last point repeated.
     Larger sets take the smallest circumball of a support subset of 2 to
-    d + 1 points that holds the whole set, all subsets of one size in one
-    batched solve, `_BALL_BLOCK` (set, subset) pairs at a time; every row
+    d + 1 points that holds the whole set, by batched solves over
+    `_BALL_BLOCK` (set, subset) pairs at a time. The work grows as
+    N * m * sum(C(m, s), s = 2..d + 1), so it is meant for the small sets of
+    Cech faces and mu samples, not for sets of dozens of points. Every row
     is computed alone, so its bits do not depend on the batch
     (docs/decisions.md, section 6).
     """
@@ -90,14 +93,10 @@ def enclosing_radius(P: np.ndarray) -> np.ndarray:
         return triangle_radius(P if m == 3 else P[:, np.minimum([0, 1, 2], m - 1)])
     best = np.full(N, np.inf)
     for s in range(2, min(m, d + 1) + 1):
-        subsets = np.array(list(combinations(range(m), s)))
-        step = max(1, _BALL_BLOCK // len(subsets))
-        for a in range(0, N, step):
-            rows = slice(a, a + step)
-            best[rows] = np.minimum(best[rows], _support_radii(P[rows], subsets))
+        combos = combinations(range(m), s)
+        while len(subsets := np.array(list(islice(combos, _BALL_BLOCK)))):
+            step = max(1, _BALL_BLOCK // len(subsets))
+            for a in range(0, N, step):
+                rows = slice(a, a + step)
+                best[rows] = np.minimum(best[rows], _support_radii(P[rows], subsets))
     return best
-
-
-def min_enclosing_radius(points: np.ndarray) -> float:
-    """Smallest-enclosing-ball radius of one point set (m, d): `enclosing_radius` on one row."""
-    return float(enclosing_radius(np.asarray(points, dtype=np.float64)[None])[0])

@@ -350,12 +350,15 @@ def test_cech_faces_match_ball_intersection_definition():
         (RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0), 200),
         (RegimeSpec(model="cech", k=4, n=300, d=3, alpha=5.0), 8),
         (RegimeSpec(model="cech", k=5, n=200, d=3, alpha=20.0), 2),
+        (RegimeSpec(model="cech", k=4, n=100_000, d=1, alpha=5.0), 4),  # r = 3.7e-7
     ],
-    ids=["cech-k3-n2000", "cech-k4-d3", "cech-k5-d3"],
+    ids=["cech-k3-n2000", "cech-k4-d3", "cech-k5-d3", "cech-k4-d1-tiny-r"],
 )
 def test_cech_complex_matches_per_face_filter_bit_for_bit(spec, clouds):
     """One `enclosing_radius` call per layer and the face-key prefix test keep
-    the faces of the scalar `d @ d` and Welzl filter with Python-set prefixes."""
+    the faces of the scalar `d @ d` and Welzl filter with Python-set prefixes.
+    On the line (Helly) every clique is a face, also with radii far below the
+    coordinates' scale."""
     r = spec.resolve_r()
     rejected = [0] * spec.k
     for t in range(clouds):
@@ -366,7 +369,10 @@ def test_cech_complex_matches_per_face_filter_bit_for_bit(spec, clouds):
         assert [a.tobytes() for a in c.faces] == [b.tobytes() for b in oracle.faces]
         for dim in range(2, spec.k):
             rejected[dim] += len(clique_complex(g, dim).faces[dim]) - len(c.faces[dim])
-    assert all(rejected[2:])  # every layer the filter reads drops some clique
+    if spec.d == 1:
+        assert not any(rejected)
+    else:
+        assert all(rejected[2:])  # every layer the filter reads drops some clique
 
 
 def test_cech_complex_reads_the_clique_memo_without_changing_it():

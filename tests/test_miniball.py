@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 from randcomplex import RngStream, balls_intersect, miniball
-from randcomplex.miniball import enclosing_radius, min_enclosing_radius, triangle_radius
+from randcomplex.miniball import enclosing_radius, triangle_radius
 
 from oracles import ball_intersection_by_projection, meb_radius_exhaustive, min_enclosing_ball
+
+
+def min_enclosing_radius(points) -> float:
+    """`enclosing_radius` on one set (m, d)."""
+    return float(enclosing_radius(np.asarray(points, dtype=np.float64)[None])[0])
 
 
 def test_two_points_tangency():
@@ -73,8 +78,8 @@ def test_three_point_radius_matches_scalar():
 
 
 def test_welzl_agrees_with_exhaustive_oracle():
-    """`min_enclosing_radius`, the array kernel on one set, against the
-    exhaustive support-subset oracle."""
+    """The array kernel on one set against Welzl's recursion and the
+    exhaustive support-subset oracle, also on sets far from the origin."""
     # spec invariant: 1e4 random instances, d <= 4, set sizes <= 6
     gen = RngStream(2024).generator()
     for _ in range(10_000):
@@ -84,6 +89,16 @@ def test_welzl_agrees_with_exhaustive_oracle():
         mine = min_enclosing_radius(pts)
         ref = meb_radius_exhaustive(pts)
         assert mine == pytest.approx(ref, rel=1e-7, abs=1e-9)
+        assert mine == pytest.approx(min_enclosing_ball(pts)[1], rel=1e-7, abs=1e-9)
+    # radii far below the coordinates' scale, against Welzl alone (the exhaustive
+    # oracle rounds its centres at that scale): on the line only the extreme
+    # pair's ball holds the set, and a small square is moved far from the origin
+    far = [0.7 + 2e-7 * gen.random((int(gen.integers(4, 7)), 1)) for _ in range(200)]
+    square = np.array([[0.0, 0.0], [1e-3, 0.0], [0.0, 1e-3], [1e-3, 1e-3], [5e-4, 5e-4]])
+    far += [square + shift for shift in ([1e8, 3e7], [-2.5e5, 7.0])]
+    for pts in far:
+        assert min_enclosing_radius(pts) == pytest.approx(min_enclosing_ball(pts)[1], rel=1e-12)
+    assert balls_intersect(far[-2], 7.1e-4) and not balls_intersect(far[-2], 7.0e-4)
 
 
 def test_welzl_agrees_with_projection_feasibility():
@@ -136,7 +151,8 @@ def test_degenerate_duplicate_points():
 
 def test_enclosing_radius_bits_alone_in_a_batch_and_across_blocks(monkeypatch):
     """Each row is computed alone: the same bits for one set, inside a batch,
-    and on either side of a `_BALL_BLOCK` boundary, block-aligned or not."""
+    and on either side of a `_BALL_BLOCK` boundary, block-aligned or not,
+    with the subsets of one size split across steps or not."""
     gen = RngStream(11).generator()
     for m, d in [(4, 2), (4, 3), (5, 3), (6, 4)]:
         P = gen.standard_normal((41, m, d))
@@ -144,7 +160,7 @@ def test_enclosing_radius_bits_alone_in_a_batch_and_across_blocks(monkeypatch):
         alone = [enclosing_radius(p[None])[0] for p in P]
         whole = enclosing_radius(P)
         assert whole.tolist() == alone
-        # steps of one set, of 1 to 10 sets by subset size, and of about 4 sets
+        # steps of one pair, of 10 pairs (subsets split if C(m, s) > 10), and of about 4 sets
         for block in (1, 10, 4 * math.comb(m, 3) + 1):
             monkeypatch.setattr(miniball, "_BALL_BLOCK", block)
             assert enclosing_radius(P).tolist() == alone
