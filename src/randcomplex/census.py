@@ -375,6 +375,14 @@ def faces_on_large_components(
 # ---------------------------------------------------------------------------
 
 
+def _neighbor_sets(g: Graph) -> list[frozenset[int]]:
+    """One frozenset of neighbours per vertex, cut from the keys at `searchsorted` offsets."""
+    n, key = g.vertex_count, g.edge_keys
+    cuts = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+    nbrs = (key % n).tolist()
+    return [frozenset(nbrs[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
 def connected_subsets(g: Graph, size: int):
     """Enumerate every connected vertex subset of the given size exactly once.
 
@@ -383,12 +391,10 @@ def connected_subsets(g: Graph, size: int):
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    nbrs = g.neighbor_sets
-    if size == 1:
-        for v in range(g.vertex_count):
-            yield (v,)
-        return
+    yield from _connected_subsets(_neighbor_sets(g), size)
 
+
+def _connected_subsets(nbrs: list[frozenset[int]], size: int):
     def extend(sub: tuple[int, ...], ext: list[int], closed: frozenset[int], root: int):
         if len(sub) == size:
             yield tuple(sorted(sub))
@@ -400,7 +406,7 @@ def connected_subsets(g: Graph, size: int):
             new_closed = closed | nbrs[w] | {w}
             yield from extend(sub + (w,), ext + fresh, new_closed, root)
 
-    for root in range(g.vertex_count):
+    for root in range(len(nbrs)):
         ext0 = [u for u in nbrs[root] if u > root]
         closed0 = frozenset(nbrs[root]) | {root}
         yield from extend((root,), ext0, closed0, root)
@@ -452,7 +458,7 @@ def subgraph_counts(
         if p.vertex_count > MAX_CANONICAL_VERTICES:
             raise ValueError("pattern too large")
     counts = [0] * len(patterns)
-    nbrs = g.neighbor_sets
+    nbrs = _neighbor_sets(g)
     by_size: dict[int, list[int]] = {}
     for idx, p in enumerate(patterns):
         by_size.setdefault(p.vertex_count, []).append(idx)
@@ -460,9 +466,9 @@ def subgraph_counts(
         conn = [i for i in idxs if _is_connected_pattern(patterns[i])]
         free = [i for i in idxs if i not in set(conn)]
         if conn:
-            _census_fixed_size(g, nbrs, patterns, conn, size, induced, counts, connected_only=True)
+            _census_fixed_size(nbrs, patterns, conn, size, induced, counts, connected_only=True)
         if free:
-            _census_fixed_size(g, nbrs, patterns, free, size, induced, counts, connected_only=False)
+            _census_fixed_size(nbrs, patterns, free, size, induced, counts, connected_only=False)
     return counts
 
 
@@ -504,12 +510,12 @@ def _count_maps_bitmask(earlier, tadj_masks) -> int:
     return total
 
 
-def _census_fixed_size(g, nbrs, patterns, idxs, size, induced, counts, connected_only):
+def _census_fixed_size(nbrs, patterns, idxs, size, induced, counts, connected_only):
     prepared = {i: _prepare_pattern(patterns[i]) for i in idxs}
     subsets = (
-        connected_subsets(g, size)
+        _connected_subsets(nbrs, size)
         if connected_only
-        else combinations(range(g.vertex_count), size)
+        else combinations(range(len(nbrs)), size)
     )
     maps = {i: 0 for i in idxs}
     for subset in subsets:

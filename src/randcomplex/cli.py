@@ -94,17 +94,7 @@ def _regime_from(cfg: dict) -> RegimeSpec:
     for req in ("model", "k", "n"):
         if req not in cfg:
             raise ValueError(f"missing required parameter --{req}")
-    return RegimeSpec(
-        model=cfg["model"],
-        k=cfg["k"],
-        n=cfg["n"],
-        d=cfg.get("d", 2),
-        p=cfg.get("p"),
-        r=cfg.get("r"),
-        gamma=cfg.get("gamma"),
-        alpha=cfg.get("alpha"),
-        density=cfg.get("density", "uniform_cube"),
-    )
+    return RegimeSpec(**cfg)
 
 
 def _add_regime_flags(parser: argparse.ArgumentParser) -> None:

@@ -20,22 +20,17 @@ MAX_KEYED_VERTICES = math.isqrt(2**63 - 1)  # the largest n whose keys u*n + v <
 class Graph:
     """Undirected simple graph on vertices 0..n-1, held as its sorted edge keys.
 
-    `from_edges` is the only constructor. The neighbour rows and sets are
-    lazy views of the keys (docs/decisions.md, section 12).
+    `from_edges` is the only constructor, and the keys are the one form of
+    the edges (docs/decisions.md, section 12).
     """
 
-    # immutable, so rows, neighbour sets, components, codegrees and cliques are memos
-    __slots__ = (
-        "vertex_count", "edge_keys", "_adjacency", "_neighbor_sets", "_components",
-        "_codegrees", "_cliques",
-    )
+    # immutable, so components, codegrees and cliques are memos
+    __slots__ = ("vertex_count", "edge_keys", "_components", "_codegrees", "_cliques")
 
     def __init__(self, vertex_count: int, *, edge_keys: np.ndarray):
         """Take the checked keys of `from_edges`; call that instead."""
         self.vertex_count = vertex_count
         self.edge_keys = edge_keys  # read-only sorted int64 keys u*n + v, one per ordered pair
-        self._adjacency: tuple[tuple[int, ...], ...] | None = None
-        self._neighbor_sets: tuple[frozenset[int], ...] | None = None
         self._components: ComponentDecomposition | None = None
         self._codegrees: tuple[np.ndarray, ...] | None = None
         self._cliques: tuple[np.ndarray, ...] | None = None
@@ -75,29 +70,6 @@ class Graph:
         key = key[np.diff(key, prepend=-1) != 0]
         key.flags.writeable = False
         return cls(n, edge_keys=key)
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples, cut from the keys at the `searchsorted` row offsets."""
-        if self._adjacency is None:
-            n, key = self.vertex_count, self.edge_keys
-            rows = np.searchsorted(key, np.arange(n + 1) * n).tolist()
-            nbrs = (key % n).tolist()
-            self._adjacency = tuple(tuple(nbrs[a:b]) for a, b in zip(rows, rows[1:]))
-        return self._adjacency
-
-    @property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        if self._neighbor_sets is None:
-            self._neighbor_sets = tuple(frozenset(a) for a in self.adjacency)
-        return self._neighbor_sets
-
-    def edges(self):
-        """Yield edges (u, v) with u < v in lexicographic order."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if v > u:
-                    yield (u, v)
 
     @property
     def edge_count(self) -> int:
@@ -291,20 +263,6 @@ class ComponentDecomposition:
     @property
     def count(self) -> int:
         return int(np.count_nonzero(self.size))
-
-    def size_of(self, v: int) -> int:
-        return int(self.size[self.label[v]])
-
-    @property
-    def component_id(self) -> tuple[int, ...]:
-        """The labels as a tuple, vertex by vertex."""
-        return tuple(self.label.tolist())
-
-    @property
-    def component_sizes(self) -> dict[int, int]:
-        """{label: size}, in increasing label order."""
-        roots = np.flatnonzero(self.size)
-        return dict(zip(roots.tolist(), self.size[roots].tolist()))
 
 
 def components(g: Graph) -> ComponentDecomposition:

@@ -32,6 +32,7 @@ from .census import (
 )
 from .complexes import components, f_vector
 from .generators import (
+    DENSITY_KINDS,
     DensitySpec,
     RngStream,
     cech_complex,
@@ -78,6 +79,12 @@ class RegimeSpec:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("k", "n", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"'{name}' must be an int, got {value!r}")
+        if self.density not in DENSITY_KINDS:
+            raise ValueError(f"'density' must be one of {DENSITY_KINDS}, got {self.density!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
         require_prime_field(self.field_prime)

@@ -50,45 +50,46 @@ def require_prime_field(q: int) -> None:
             raise ValueError(f"field size q={q} is not a prime")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryMatrix:
-    """The boundary operator d_k as signed incidence triples.
+    """The boundary operator d_k as one array of rows.
 
     Rows index (k-1)-faces, columns index k-faces, both in lexicographic
-    order; column j has entry (-1)^i in the row of the face obtained by
-    deleting the i-th vertex. Signs are stored as +-1 and reduced mod q
-    only when a rank is taken.
+    order. `rows` is the read-only (f_k, k+1) int64 array whose entry (j, i)
+    is the row of k-face j without its i-th vertex, where column j holds
+    (-1)^i. Signs are reduced mod q only when a rank is taken.
     """
 
     degree: int
     row_count: int
-    col_count: int
-    entries: tuple[tuple[int, int, int], ...]  # (row, col, sign)
+    rows: np.ndarray
 
-    def dense(self, q: int | None = None) -> np.ndarray:
-        mat = np.zeros((self.row_count, self.col_count), dtype=np.int64)
-        for i, j, s in self.entries:
-            mat[i, j] = s % q if q is not None else s
-        return mat
+    @property
+    def col_count(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, BoundaryMatrix)
+            and (self.degree, self.row_count) == (other.degree, other.row_count)
+            and np.array_equal(self.rows, other.rows)
+        )
 
 
-def _boundary_rows(keys: list, c: SimplicialComplex, k: int) -> np.ndarray:
-    """The (f_k, k+1) rows of d_k: row i of column j is the row of k-face j without vertex i."""
+def _boundary(keys: list, c: SimplicialComplex, k: int) -> BoundaryMatrix:
+    """d_k with row i of column j the row of k-face j without vertex i."""
     rows, found = _face_rows(keys[:k], c.vertex_count, _deletions(c.faces[k]))
     if not found.all():
         raise ValueError(f"a face of the complex misses one of its {k - 1}-faces")
-    return rows
+    rows.flags.writeable = False
+    return BoundaryMatrix(k, len(c.faces[k - 1]), rows)
 
 
 def boundary_matrix(c: SimplicialComplex, k: int) -> BoundaryMatrix:
     """Standard simplicial boundary with alternating signs, 1 <= k <= max_dim."""
     if not 1 <= k <= c.max_dim:
         raise ValueError(f"k={k} out of range 1..{c.max_dim}")
-    rows = _boundary_rows(_face_keys(c.faces, c.vertex_count, k), c, k)
-    entries = tuple(
-        (r, j, -1 if i % 2 else 1) for j, row in enumerate(rows.tolist()) for i, r in enumerate(row)
-    )
-    return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), entries)
+    return _boundary(_face_keys(c.faces, c.vertex_count, k), c, k)
 
 
 def _pivot_lows(cols: list[dict[int, int]], q: int, cleared) -> dict[int, dict[int, int]]:
@@ -122,21 +123,14 @@ def _pivot_lows(cols: list[dict[int, int]], q: int, cleared) -> dict[int, dict[i
 
 def _columns(bm: BoundaryMatrix, q: int | None = None) -> list[dict[int, int]]:
     """The columns of the matrix as {row: entry} dicts, entries mod q unless q is None."""
-    cols: list[dict[int, int]] = [dict() for _ in range(bm.col_count)]
-    for i, j, s in bm.entries:
-        cols[j][i] = s if q is None else s % q
-    return cols
-
-
-def _rank_sparse_gf(bm: BoundaryMatrix, q: int) -> int:
-    """Rank over GF(q) by `_pivot_lows` on every column of the matrix."""
-    return len(_pivot_lows(_columns(bm, q), q, ()))
+    sign = [(-1) ** i if q is None else (-1) ** i % q for i in range(bm.degree + 1)]
+    return [dict(zip(row, sign)) for row in bm.rows.tolist()]
 
 
 def rank_gf(bm: BoundaryMatrix, q: int = DEFAULT_PRIME) -> int:
-    """Rank of the boundary matrix over GF(q), q a prime below 2^31."""
+    """Rank of the boundary matrix over GF(q), q a prime below 2^31, by `_pivot_lows`."""
     require_prime_field(q)
-    return _rank_sparse_gf(bm, q)
+    return len(_pivot_lows(_columns(bm, q), q, ()))
 
 
 def _rank_d1(c: SimplicialComplex) -> int:
@@ -237,9 +231,7 @@ def betti_numbers(
     keys = _face_keys(c.faces, c.vertex_count, top)
     lows = ()
     for k in range(top, 1, -1):
-        rows = _boundary_rows(keys, c, k)
-        sign = [q - 1 if i % 2 else 1 for i in range(k + 1)]
-        lows = _pivot_lows([dict(zip(row, sign)) for row in rows.tolist()], q, lows)
+        lows = _pivot_lows(_columns(_boundary(keys, c, k), q), q, lows)
         ranks[k] = len(lows)
     ranks[1] = _rank_d1(c)
     return _betti_vector(c, q, ranks)

@@ -267,6 +267,33 @@ def face_tuples(layer: np.ndarray) -> list[tuple[int, ...]]:
     return list(map(tuple, layer.tolist()))
 
 
+def neighbor_rows(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples, decoded key by key: key u*n + v puts v in row u."""
+    rows: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for key in g.edge_keys.tolist():
+        u, v = divmod(key, g.vertex_count)
+        rows[u].append(v)
+    return tuple(map(tuple, rows))
+
+
+def neighbor_sets(g: Graph) -> tuple[frozenset[int], ...]:
+    return tuple(map(frozenset, neighbor_rows(g)))
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v, in lexicographic order."""
+    return [(u, v) for u, row in enumerate(neighbor_rows(g)) for v in row if u < v]
+
+
+def dense(bm: BoundaryMatrix, q: int | None = None) -> np.ndarray:
+    """The boundary matrix as a dense int64 array, entries mod q unless q is None."""
+    mat = np.zeros((bm.row_count, bm.col_count), dtype=np.int64)
+    for j, row in enumerate(bm.rows.tolist()):
+        for i, r in enumerate(row):
+            mat[r, j] = (-1) ** i if q is None else (-1) ** i % q
+    return mat
+
+
 def brute_adjacency(n: int, edges) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples of the simple graph on the given pairs, by sets."""
     nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -336,7 +363,7 @@ def brute_z_count(adj_sets, k: int) -> int:
 
 def y_count_by_sets(g: Graph, k: int) -> int:
     """Y by neighbour-set differences per base clique: the slow path of `census.y_count`."""
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     total = 0
     for base in cliques_of_order(g, k - 1):
         bset = set(base)
@@ -350,7 +377,7 @@ def y_count_by_sets(g: Graph, k: int) -> int:
 
 def z_count_by_sets(g: Graph, k: int) -> int:
     """Z by neighbour-set differences per base clique: the slow path of `census.z_count`."""
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     total = 0
     for base in cliques_of_order(g, k - 1):
         bset = set(base)
@@ -364,7 +391,7 @@ def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
     """(path, star, spider) by one Counter of w_x per centre m: the slow path of
     `census.tree_counts_order5`, with the same closed forms (docs/decisions.md, section 1).
     """
-    adj = g.adjacency
+    adj = neighbor_rows(g)
     deg = [len(a) for a in adj]
     path2 = star = spider = 0
     for m, nm in enumerate(adj):
@@ -393,6 +420,7 @@ def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
 def components_by_bfs(g: Graph) -> ComponentDecomposition:
     """Components by BFS over the adjacency rows: the slow path of `complexes.components`."""
     n = g.vertex_count
+    adj = neighbor_rows(g)
     label = [-1] * n
     sizes = [0] * n
     for start in range(n):
@@ -401,7 +429,7 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
         label[start] = start
         reached = [start]
         for u in reached:
-            for v in g.adjacency[u]:
+            for v in adj[u]:
                 if label[v] < 0:
                     label[v] = start
                     reached.append(v)
@@ -418,12 +446,11 @@ def boundary_matrix_by_dict(c, k: int) -> BoundaryMatrix:
     """d_k with each row looked up in a {face: index} dict: the slow path of
     `homology.boundary_matrix`."""
     row_index = {face: i for i, face in enumerate(face_tuples(c.faces[k - 1]))}
-    entries = []
-    for j, face in enumerate(face_tuples(c.faces[k])):
-        for i in range(k + 1):
-            sub = face[:i] + face[i + 1 :]
-            entries.append((row_index[sub], j, -1 if i % 2 else 1))
-    return BoundaryMatrix(k, len(c.faces[k - 1]), len(c.faces[k]), tuple(entries))
+    rows = [
+        [row_index[face[:i] + face[i + 1 :]] for i in range(k + 1)]
+        for face in face_tuples(c.faces[k])
+    ]
+    return BoundaryMatrix(k, len(c.faces[k - 1]), np.array(rows, dtype=np.int64).reshape(-1, k + 1))
 
 
 def rank_by_bareiss(bm: BoundaryMatrix) -> int:
@@ -431,9 +458,7 @@ def rank_by_bareiss(bm: BoundaryMatrix) -> int:
     integers: the slow path of `homology._rank_exact`."""
     if bm.row_count == 0 or bm.col_count == 0:
         return 0
-    mat = [[0] * bm.col_count for _ in range(bm.row_count)]
-    for i, j, s in bm.entries:
-        mat[i][j] = s
+    mat = dense(bm).tolist()
     rows, cols = bm.row_count, bm.col_count
     if rows > cols:
         mat = [list(col) for col in zip(*mat)]
@@ -509,10 +534,10 @@ def c03_complexes():
 
 
 def faces_on_large_components_by_size_of(c, g: Graph, k: int, i: int) -> int:
-    """Per-face `size_of` test of the first vertex: the slow path of
+    """Per-face size test of the first vertex's component: the slow path of
     `census.faces_on_large_components`."""
     comp = components_by_bfs(g)
-    return sum(1 for face in c.faces[k].tolist() if comp.size_of(face[0]) >= i)
+    return sum(1 for face in c.faces[k].tolist() if comp.size[comp.label[face[0]]] >= i)
 
 
 def _is_cross_skeleton(nbrs, subset) -> bool:
@@ -560,7 +585,7 @@ def cross_counts_by_pairs(g: Graph, k: int) -> tuple[int, int]:
     """
     size = 2 * k + 2
     mindeg = size - 2
-    nbrs = g.neighbor_sets
+    nbrs = neighbor_sets(g)
     o_induced = 0
     for u in range(g.vertex_count):
         un = nbrs[u]
@@ -577,7 +602,7 @@ def cross_counts_by_pairs(g: Graph, k: int) -> tuple[int, int]:
     comp = components_by_bfs(g)
     groups: dict[int, list[int]] = {}
     for v in range(g.vertex_count):
-        groups.setdefault(comp.component_id[v], []).append(v)
+        groups.setdefault(int(comp.label[v]), []).append(v)
     o_component = sum(
         1 for verts in groups.values() if len(verts) == size and _is_cross_skeleton(nbrs, verts)
     )

@@ -52,6 +52,7 @@ from oracles import (
     cross_polytope_skeleton,
     cross_polytope_zoo,
     brute_empty_simplices,
+    edge_list,
     brute_faces_on_large_components,
     brute_isolated_empty_count,
     brute_subgraph_count,
@@ -60,6 +61,7 @@ from oracles import (
     faces_on_large_components_by_size_of,
     mu_hits_per_sample,
     mu_quadrature_k3,
+    neighbor_sets,
     tree_counts_by_centres,
     y_count_by_sets,
     z_count_by_sets,
@@ -190,8 +192,8 @@ def test_yz_match_brute_force():
         n = int(gen.integers(4, 11))
         g = gen_er_graph(n, float(gen.random() * 0.7), RngStream(int(gen.integers(2**32))))
         for k in (3, 4, 5):
-            assert y_count(g, k) == brute_y_count(g.neighbor_sets, k)
-            assert z_count(g, k) == brute_z_count(g.neighbor_sets, k)
+            assert y_count(g, k) == brute_y_count(neighbor_sets(g), k)
+            assert z_count(g, k) == brute_z_count(neighbor_sets(g), k)
 
 
 def _regime_graphs(spec: RegimeSpec, seed: int, count: int):
@@ -269,7 +271,7 @@ def test_cross_counts_octahedron():
     assert cross_polytope_counts(g, 2) == (1, 1)
     # the octahedron contains exactly three induced 4-cycles, its equators;
     # frozen from the exhaustive 4-subset oracle (see docs/decisions.md, section 3)
-    assert brute_cross_counts(6, g.neighbor_sets, 1) == (3, 0)
+    assert brute_cross_counts(6, neighbor_sets(g), 1) == (3, 0)
     assert cross_polytope_counts(g, 1) == (3, 0)
 
 
@@ -280,7 +282,7 @@ def test_cross_counts_match_brute_force():
         g = gen_er_graph(n, float(gen.random() * 0.7 + 0.1), RngStream(int(gen.integers(2**32))))
         for k in (1, 2):
             assert cross_polytope_counts(g, k) == brute_cross_counts(
-                n, g.neighbor_sets, k
+                n, neighbor_sets(g), k
             )
 
 
@@ -293,7 +295,7 @@ def test_cross_counts_match_enumerator_and_brute_force(name):
     counts = [cross_polytope_counts(g, k) for k in (1, 2, 3)]
     assert counts == [cross_counts_by_pairs(g, k) for k in (1, 2, 3)]
     if g.vertex_count <= 10:
-        assert counts == [brute_cross_counts(g.vertex_count, g.neighbor_sets, k) for k in (1, 2, 3)]
+        assert counts == [brute_cross_counts(g.vertex_count, neighbor_sets(g), k) for k in (1, 2, 3)]
     if name.startswith("dense-rips"):
         assert counts[1][0] > 0  # the pair graph holds triangles
 
@@ -367,7 +369,7 @@ def test_faces_ge_matches_brute_force():
             for i in (2, 3, 5, 7):
                 assert faces_on_large_components(c, g, k, i) == (
                     brute_faces_on_large_components(
-                        n, list(g.edges()), c.faces[k], i
+                        n, edge_list(g), c.faces[k], i
                     )
                 )
 
@@ -473,8 +475,8 @@ def test_canonical_form_invariant_under_permutation():
         n = int(gen.integers(2, 9))
         g = gen_er_graph(n, float(gen.random()), RngStream(int(gen.integers(2**32))))
         perm = list(gen.permutation(n))
-        edges2 = [(perm[u], perm[v]) for u, v in g.edges()]
-        assert canonical_form(n, g.edges()) == canonical_form(n, edges2)
+        edges2 = [(perm[u], perm[v]) for u, v in edge_list(g)]
+        assert canonical_form(n, edge_list(g)) == canonical_form(n, edges2)
 
 
 def test_canonical_form_separates_non_isomorphic():
@@ -485,7 +487,7 @@ def test_canonical_form_separates_non_isomorphic():
     for _ in range(25):
         n = 6
         g = gen_er_graph(n, float(gen.random()), RngStream(int(gen.integers(2**32))))
-        graphs.append(list(g.edges()))
+        graphs.append(edge_list(g))
     for a in range(len(graphs)):
         for b in range(a + 1, len(graphs)):
             same_form = canonical_form(6, graphs[a]) == canonical_form(6, graphs[b])
@@ -497,7 +499,8 @@ def test_connected_subsets_exact():
     for _ in range(25):
         n = int(gen.integers(3, 10))
         g = gen_er_graph(n, 0.4, RngStream(int(gen.integers(2**32))))
-        for size in (2, 3, 4, 5):
+        assert list(connected_subsets(g, 1)) == [(v,) for v in range(n)]
+        for size in (1, 2, 3, 4, 5):
             mine = sorted(connected_subsets(g, size))
             ref = sorted(
                 S
@@ -507,7 +510,7 @@ def test_connected_subsets_exact():
                         size,
                         [
                             (S.index(u), S.index(v))
-                            for u, v in g.edges()
+                            for u, v in edge_list(g)
                             if u in S and v in S
                         ],
                     )
@@ -538,7 +541,7 @@ def test_subgraph_counts_match_brute_force():
                     assert got == 0
                     continue
                 ref = brute_subgraph_count(
-                    n, g.neighbor_sets, pat.edges, pat.vertex_count, induced
+                    n, neighbor_sets(g), pat.edges, pat.vertex_count, induced
                 )
                 assert got == ref
 

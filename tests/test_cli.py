@@ -148,7 +148,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["experiment", "sweep", "census"])
 @pytest.mark.parametrize(
-    "bad, key", [({"k": "1"}, "k"), ({"n": 10.5}, "n"), ({"alpha": True}, "alpha")]
+    "bad, key",
+    [
+        ({"k": "1"}, "k"), ({"n": 10.5}, "n"), ({"alpha": True}, "alpha"),
+        ({"density": "foo"}, "density"),
+    ],
 )
 def test_config_file_rejects_mistyped_values(tmp_path, capsys, command, bad, key):
     cfg = tmp_path / "cfg.json"

@@ -24,7 +24,8 @@ from randcomplex import (
 )
 
 from oracles import (
-    brute_adjacency, brute_components, components_by_bfs, cross_polytope_zoo, validate_by_sets
+    brute_adjacency, brute_components, components_by_bfs, cross_polytope_zoo, edge_list,
+    neighbor_rows, validate_by_sets
 )
 from randcomplex import census
 from randcomplex.complexes import MAX_KEYED_VERTICES
@@ -34,27 +35,27 @@ def test_components_two_disjoint_edges():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     dec = components(g)
     assert dec.count == 2
-    assert sorted(dec.component_sizes.values()) == [2, 2]
+    assert dec.size.tolist() == [2, 0, 2, 0]
 
 
 def test_components_empty_graph():
     dec = components(Graph.from_edges(5, []))
     assert dec.count == 5
-    assert all(size == 1 for size in dec.component_sizes.values())
-    assert dec.component_id == (0, 1, 2, 3, 4)
+    assert dec.size.tolist() == [1] * 5
+    assert dec.label.tolist() == [0, 1, 2, 3, 4]
 
 
 def test_components_path():
     g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     dec = components(g)
     assert dec.count == 1
-    assert dec.size_of(3) == 5
+    assert dec.size[dec.label[3]] == 5
 
 
 def test_components_labels_are_minima():
     g = Graph.from_edges(6, [(2, 4), (1, 5)])
     dec = components(g)
-    assert dec.component_id == (0, 1, 2, 3, 2, 1)
+    assert dec.label.tolist() == [0, 1, 2, 3, 2, 1]
 
 
 def test_components_match_union_find_oracle_and_permutation():
@@ -63,17 +64,15 @@ def test_components_match_union_find_oracle_and_permutation():
         n = int(gen.integers(1, 14))
         p = float(gen.random())
         g = gen_er_graph(n, p, RngStream(int(gen.integers(0, 2**32))))
-        groups = brute_components(n, list(g.edges()))
+        groups = brute_components(n, edge_list(g))
         dec = components(g)
         assert dec.count == len(groups)
-        assert sorted(dec.component_sizes.values()) == sorted(map(len, groups))
+        assert sorted(dec.size[dec.size > 0].tolist()) == sorted(map(len, groups))
         # permuting labels permutes components but preserves the partition
         perm = list(gen.permutation(n))
-        g2 = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        g2 = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edge_list(g)])
         dec2 = components(g2)
-        assert sorted(dec2.component_sizes.values()) == sorted(
-            dec.component_sizes.values()
-        )
+        assert sorted(dec2.size.tolist()) == sorted(dec.size.tolist())
 
 
 def _benchmark_regime_graphs(count: int):
@@ -94,9 +93,9 @@ def test_components_match_bfs_oracle():
     graphs = list(cross_polytope_zoo().values()) + list(_benchmark_regime_graphs(5))
     for g in graphs:
         got, want = components(g), components_by_bfs(g)
-        assert got.component_id == want.component_id
+        assert got.label.tolist() == want.label.tolist()
         # same sizes, listed in the same order (by label)
-        assert list(got.component_sizes.items()) == list(want.component_sizes.items())
+        assert got.size.tolist() == want.size.tolist()
 
 
 def test_from_edges_builds_rows_only_on_demand():
@@ -107,8 +106,9 @@ def test_from_edges_builds_rows_only_on_demand():
     assert g != Graph.from_edges(5, [(0, 1), (1, 3)])
     assert g != Graph.from_edges(6, [(0, 1), (1, 3), (0, 4)])
     components(g)
-    assert g._adjacency is None and g._neighbor_sets is None
-    assert g.adjacency == rows and g.neighbor_sets == tuple(map(frozenset, rows))
+    # the keys are the one form: no neighbour rows or sets are held beside them
+    assert Graph.__slots__ == ("vertex_count", "edge_keys", "_components", "_codegrees", "_cliques")
+    assert neighbor_rows(g) == rows
 
 
 def test_f_vector_k4():
@@ -143,7 +143,7 @@ def test_graph_validation():
     with pytest.raises(TypeError):
         Graph(2, ((1,), ()))  # no rows constructor: from_edges checks every pair
     # duplicates collapse
-    assert Graph.from_edges(3, [(0, 1), (1, 0)]).adjacency == ((1,), (0,), ())
+    assert neighbor_rows(Graph.from_edges(3, [(0, 1), (1, 0)])) == ((1,), (0,), ())
 
 
 def test_from_edges_refuses_keys_past_int64():
@@ -165,14 +165,14 @@ def test_from_edges_refuses_keys_past_int64():
 def test_from_edges_reads_every_input_form_alike():
     pairs = [(0, 3), (3, 0), (1, 2), (1, 2), (4, 1), (0, 3), (2, 0)]
     expected = Graph.from_edges(5, pairs)
-    assert expected.adjacency == brute_adjacency(5, pairs)
+    assert neighbor_rows(expected) == brute_adjacency(5, pairs)
     forms = [(e for e in pairs), tuple(pairs), np.array(pairs), np.array(pairs, np.int32)]
     for edges in forms:
         assert Graph.from_edges(5, edges) == expected
     for n in (0, 4):
         for edges in ([], (), iter(()), np.empty((0, 2), dtype=np.int64)):
             g = Graph.from_edges(n, edges)
-            assert g.edge_count == 0 and g.adjacency == ((),) * n
+            assert g.edge_count == 0 and neighbor_rows(g) == ((),) * n
     with pytest.raises(ValueError, match="out of range"):
         Graph.from_edges(0, [(0, 1)])
     gen = RngStream(32).generator()
@@ -182,7 +182,7 @@ def test_from_edges_reads_every_input_form_alike():
         edges = [(u, v) for u, v in edges if u != v]
         g = Graph.from_edges(n, edges)
         assert np.all(np.diff(g.edge_keys) > 0)
-        assert g.adjacency == brute_adjacency(n, edges)
+        assert neighbor_rows(g) == brute_adjacency(n, edges)
 
 
 def test_edge_keys_memo_is_read_only_and_outside_equality():
@@ -191,8 +191,8 @@ def test_edge_keys_memo_is_read_only_and_outside_equality():
         edges = gen.integers(0, max(n, 1), size=(3 * n, 2))
         pairs = edges[edges[:, 0] != edges[:, 1]]
         built, bare = Graph.from_edges(n, pairs), Graph.from_edges(n, pairs[::-1, ::-1])
-        built.adjacency, components(built), clique_complex(built, 2)
-        assert built._adjacency is not None and bare._adjacency is None
+        components(built), clique_complex(built, 2)
+        assert built._components is not None and bare._components is None
         # filled memos change neither equality nor the hash
         assert built == bare and hash(built) == hash(bare)
         rows = brute_adjacency(n, pairs.tolist())

@@ -92,6 +92,13 @@ def test_regime_rejects_unscaled_models():
         (dict(model="er_clique", k=1, n=10, p=math.inf), "outside"),
         (dict(model="er_clique", k=1, n=10, p=math.nan), "outside"),
         (dict(model="rips", k=40, n=100_000, alpha=2.0), "float range"),
+        (dict(model="er_clique", k=1, n=10, p=0.2, density="foo"), "'density' must be one of"),
+        (dict(model="rips", k=1, n=10, alpha=2.0, density="Gaussian"), "'density' must be"),
+        (dict(model="er_clique", k=1, n=10.5, p=0.2), "'n' must be an int"),
+        (dict(model="er_clique", k=1, n=True, p=0.2), "'n' must be an int"),
+        (dict(model="er_clique", k=1.0, n=10, p=0.2), "'k' must be an int"),
+        (dict(model="cech", k=3, n=10, d=2.0, alpha=2.0), "'d' must be an int"),
+        (dict(model="rips", k=1, n=10, d=False, alpha=2.0), "'d' must be an int"),
     ],
 )
 def test_regime_rejects_degenerate_scaling(kwargs, message):
@@ -751,18 +758,31 @@ def test_core_that_loses_a_component_fails_the_beta0_check(monkeypatch):
             instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
+# The two builders of per-vertex adjacency in `src/`: neighbour rows of the data
+# graph, and the adjacency sets of a census pattern.
+PER_VERTEX_BUILDERS = {
+    "neighbor_sets": (census, "_neighbor_sets"),
+    "adjacency": (census.CanonicalGraph, "adjacency_sets"),
+}
+
+
 @pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
 @pytest.mark.parametrize("memo", ["adjacency", "neighbor_sets"])
 def test_trial_reads_no_per_vertex_memo(monkeypatch, memo, name):
-    """Every counter reads the edge keys: no trial builds neighbour rows or frozensets."""
+    """Every counter reads the edge keys: no trial builds neighbour rows or frozensets.
+
+    `census._neighbor_sets` is the one builder of a graph's neighbour rows;
+    `CanonicalGraph.adjacency_sets` builds a pattern's, for the enumerating census.
+    """
     callers = []
-    build = getattr(Graph, memo).fget
+    owner, attr = PER_VERTEX_BUILDERS[memo]
+    build = getattr(owner, attr)
 
     def counted(g):
         callers.append(sys._getframe(1).f_code.co_name)
         return build(g)
 
-    monkeypatch.setattr(Graph, memo, property(counted))
+    monkeypatch.setattr(owner, attr, counted)
     instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
     assert callers == []
 

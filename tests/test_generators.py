@@ -24,8 +24,8 @@ from randcomplex import (
 )
 
 from oracles import (
-    cech_complex_per_face, cliques_by_set_expansion, er_graph_by_triu, face_tuples,
-    geometric_graph_by_offsets
+    cech_complex_per_face, cliques_by_set_expansion, edge_list, er_graph_by_triu, face_tuples,
+    geometric_graph_by_offsets, neighbor_sets
 )
 from randcomplex.experiments import RegimeSpec
 from randcomplex.generators import _clique_faces
@@ -117,7 +117,7 @@ def test_clique_complex_matches_subset_enumeration():
         g = gen_er_graph(n, float(gen.random()), RngStream(int(gen.integers(2**32))))
         c = clique_complex(g, 4)
         for dim in range(min(4, n - 1) + 1):
-            assert face_tuples(c.faces[dim]) == brute_cliques(g.neighbor_sets, dim + 1)
+            assert face_tuples(c.faces[dim]) == brute_cliques(neighbor_sets(g), dim + 1)
 
 
 def test_cliques_of_order_in_any_order_matches_subset_enumeration():
@@ -125,10 +125,10 @@ def test_cliques_of_order_in_any_order_matches_subset_enumeration():
     from randcomplex.generators import cliques_of_order
 
     seeded = gen_er_graph(14, 0.6, RngStream(8))
-    expected = {m: brute_cliques(seeded.neighbor_sets, m) for m in range(1, 9)}
+    expected = {m: brute_cliques(neighbor_sets(seeded), m) for m in range(1, 9)}
     assert expected[4] and not expected[8]
     for orders in (range(1, 9), range(8, 0, -1)):
-        g = Graph.from_edges(seeded.vertex_count, list(seeded.edges()))  # no expansion memoized yet
+        g = Graph.from_edges(seeded.vertex_count, edge_list(seeded))  # no expansion memoized yet
         assert {m: face_tuples(cliques_of_order(g, m)) for m in orders} == expected
         assert face_tuples(clique_complex(g, 3).faces[3]) == expected[4]
 
@@ -158,11 +158,11 @@ def test_clique_expansion_matches_set_oracle():
     for spec, max_dim in BENCHMARK_REGIMES:
         cases += [(_regime_graph(spec, RngStream(31, t)), max_dim) for t in range(20)]
     for g, max_dim in cases:
-        expected = cliques_by_set_expansion(g.neighbor_sets, max_dim)
+        expected = cliques_by_set_expansion(neighbor_sets(g), max_dim)
         assert len(expected) == max_dim + 1
         assert tuple(map(tuple, map(face_tuples, _clique_faces(g, max_dim)))) == expected
         # the same graph from its edges reversed, each written high vertex first
-        again = Graph.from_edges(g.vertex_count, [(v, u) for u, v in g.edges()][::-1])
+        again = Graph.from_edges(g.vertex_count, [(v, u) for u, v in edge_list(g)][::-1])
         assert all(map(np.array_equal, _clique_faces(again, max_dim), _clique_faces(g, max_dim)))
     assert [len(layer) for layer in _clique_faces(complete, 7)] == [7, 21, 35, 35, 21, 7, 1, 0]
 
@@ -239,7 +239,7 @@ def test_geometric_graph_matches_all_pairs_oracle():
             if d2[i, j] <= (2.0 * r) * (2.0 * r)
         }
         assert g.vertex_count == n
-        assert set(g.edges()) == brute
+        assert set(edge_list(g)) == brute
     # the closed rule keeps lattice pairs exactly 2r apart: (5,0), (0,5), (3,4), (4,3)
     assert {(0, 45), (0, 5), (0, 31), (0, 39)} <= brute
 
@@ -277,7 +277,7 @@ def test_geometric_graph_gaussian_cloud_matches_oracle():
     brute = {
         (i, j) for i in range(200) for j in range(i + 1, 200) if d2[i, j] <= 0.25
     }
-    assert set(g.edges()) == brute
+    assert set(edge_list(g)) == brute
 
 
 def test_geometric_graph_permutation_equivariance():
@@ -288,8 +288,8 @@ def test_geometric_graph_permutation_equivariance():
     g2 = geometric_graph(PointCloud(2, P[perm]), 0.08)
     inv = np.empty(60, dtype=int)
     inv[perm] = np.arange(60)
-    remapped = {tuple(sorted((int(inv[u]), int(inv[v])))) for u, v in g.edges()}
-    assert remapped == set(g2.edges())
+    remapped = {tuple(sorted((int(inv[u]), int(inv[v])))) for u, v in edge_list(g)}
+    assert remapped == set(edge_list(g2))
 
 
 def test_rips_is_clique_complex_of_geometric_graph():
@@ -328,20 +328,20 @@ def test_cech_subset_of_rips_and_shared_skeleton():
 
 
 def test_cech_faces_match_ball_intersection_definition():
-    from randcomplex import balls_intersect
+    """Every (dim+1)-subset of the points whose balls meet, by the test of
+    `balls_intersect`, in one `enclosing_radius` call per dimension."""
     from itertools import combinations
+
+    from randcomplex.miniball import RADIUS_RTOL, enclosing_radius
 
     pc = sample_points(40, DensitySpec("uniform_cube", 2), RngStream(81))
     r = 0.12
     c = cech_complex(pc, r, 3)
     P = pc.points
     for dim in range(1, 4):
-        expected = [
-            S
-            for S in combinations(range(40), dim + 1)
-            if balls_intersect(P[list(S)], r)
-        ]
-        assert face_tuples(c.faces[dim]) == expected
+        S = np.array(list(combinations(range(40), dim + 1)))
+        expected = S[enclosing_radius(P[S]) <= r * (1.0 + RADIUS_RTOL)]
+        assert face_tuples(c.faces[dim]) == face_tuples(expected)
 
 
 @pytest.mark.parametrize(

@@ -35,13 +35,12 @@ from randcomplex.homology import (
     _columns,
     _pivot_lows,
     _rank_exact,
-    _rank_sparse_gf,
     rank_gf,
     require_prime_field,
 )
 
 from oracles import (
-    boundary_matrix_by_dict, c01_complexes, c03_complexes, face_tuples, rank_by_bareiss
+    boundary_matrix_by_dict, c01_complexes, c03_complexes, dense, face_tuples, rank_by_bareiss
 )
 
 
@@ -71,7 +70,7 @@ def test_boundary_single_edge():
     bm = boundary_matrix(c, 1)
     assert (bm.row_count, bm.col_count) == (2, 1)
     q = 97
-    assert bm.dense(q)[:, 0].tolist() == [q - 1, 1]
+    assert dense(bm, q)[:, 0].tolist() == [q - 1, 1]
 
 
 def test_boundary_triangle_signs():
@@ -79,12 +78,12 @@ def test_boundary_triangle_signs():
     c = clique_complex(g, 2)
     bm = boundary_matrix(c, 2)
     assert (bm.row_count, bm.col_count) == (3, 1)
-    dense = bm.dense()
+    mat = dense(bm)
     # alternating by omitted-vertex position: +1 on {1,2}, -1 on {0,2}, +1 on {0,1}
     edges = face_tuples(c.faces[1])
-    assert dense[edges.index((1, 2)), 0] == 1
-    assert dense[edges.index((0, 2)), 0] == -1
-    assert dense[edges.index((0, 1)), 0] == 1
+    assert mat[edges.index((1, 2)), 0] == 1
+    assert mat[edges.index((0, 2)), 0] == -1
+    assert mat[edges.index((0, 1)), 0] == 1
 
 
 def test_boundary_of_boundary_vanishes():
@@ -95,8 +94,8 @@ def test_boundary_of_boundary_vanishes():
         g = gen_er_graph(n, float(gen.random()), RngStream(int(gen.integers(2**32))))
         c = clique_complex(g, 3)
         for k in range(2, c.max_dim + 1):
-            a = boundary_matrix(c, k - 1).dense(q)
-            b = boundary_matrix(c, k).dense(q)
+            a = dense(boundary_matrix(c, k - 1), q)
+            b = dense(boundary_matrix(c, k), q)
             if a.size and b.size:
                 assert not ((a @ b) % q).any()
 
@@ -167,9 +166,9 @@ def test_rank_sparse_matches_exact_and_float_rank():
     for bm in matrices:
         if bm.col_count == 0:
             continue
-        rank = _rank_sparse_gf(bm, q)
-        assert rank == rank_gf(bm, q) == _rank_exact(bm)
-        assert rank == np.linalg.matrix_rank(bm.dense().astype(float))
+        rank = rank_gf(bm, q)
+        assert rank == _rank_exact(bm)
+        assert rank == np.linalg.matrix_rank(dense(bm).astype(float))
 
 
 def real_projective_plane() -> SimplicialComplex:
@@ -226,7 +225,7 @@ def test_cleared_ranks_match_uncleared_exact_and_pinned(name):
         for q in (2, 3, DEFAULT_PRIME):
             ranks = betti_numbers(c, q=q).ranks
             digest.update(repr(ranks).encode())
-            assert list(ranks) == [0] + [_rank_sparse_gf(bm, q) for bm in bms]
+            assert list(ranks) == [0] + [rank_gf(bm, q) for bm in bms]
             if q == DEFAULT_PRIME or name != "rp2":
                 assert list(ranks) == exact
             lows = ()
@@ -376,7 +375,7 @@ def assert_d1_rank_matches_eliminations(c: SimplicialComplex) -> None:
     expected = c.vertex_count - components(Graph.from_edges(c.vertex_count, c.faces[1])).count
     assert _rank_exact(bm) == expected
     for q in (DEFAULT_PRIME, 2):
-        assert betti_numbers(c, q=q).ranks[1] == _rank_sparse_gf(bm, q) == expected
+        assert betti_numbers(c, q=q).ranks[1] == rank_gf(bm, q) == expected
 
 
 def test_rank_d1_union_find_matches_eliminations_er():
