@@ -22,7 +22,8 @@ Conventions recorded here because the counts are only defined up to them:
   vertices come from closed forms in degrees and pair codegrees, array sums
   over the edge keys (`_codegrees`, memoized on the graph and shared with
   the pair graph; docs/decisions.md, section 11).
-  `subgraph_counts` stays the general census by enumeration.
+  `subgraph_counts` stays the general census: it counts the injective maps
+  of each pattern into the graph by backtracking (docs/decisions.md, section 6).
 """
 
 from __future__ import annotations
@@ -391,10 +392,8 @@ def connected_subsets(g: Graph, size: int):
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    yield from _connected_subsets(_neighbor_sets(g), size)
+    nbrs = _neighbor_sets(g)
 
-
-def _connected_subsets(nbrs: list[frozenset[int]], size: int):
     def extend(sub: tuple[int, ...], ext: list[int], closed: frozenset[int], root: int):
         if len(sub) == size:
             yield tuple(sorted(sub))
@@ -412,34 +411,60 @@ def _connected_subsets(nbrs: list[frozenset[int]], size: int):
         yield from extend((root,), ext0, closed0, root)
 
 
-def _is_connected_pattern(p: CanonicalGraph) -> bool:
-    return components(Graph.from_edges(p.vertex_count, p.edges)).count <= 1
-
-
 def _bfs_order(pat_adj: list[set[int]]) -> list[int]:
-    v = len(pat_adj)
-    seen: list[int] = []
-    seen_set: set[int] = set()
-    for start in range(v):
-        if start in seen_set:
-            continue
-        queue = [start]
-        seen_set.add(start)
-        while queue:
-            u = queue.pop(0)
-            seen.append(u)
-            for w in sorted(pat_adj[u]):
-                if w not in seen_set:
-                    seen_set.add(w)
-                    queue.append(w)
-    return seen
+    """Pattern vertices in breadth-first order, each component from its smallest vertex."""
+    order: list[int] = []
+    for start in range(len(pat_adj)):
+        if start not in order:
+            head = len(order)
+            order.append(start)
+            while head < len(order):
+                order += [w for w in sorted(pat_adj[order[head]]) if w not in order]
+                head += 1
+    return order
+
+
+def _count_maps(p: CanonicalGraph, rows, induced: bool) -> int:
+    """Injective edge-preserving maps of p into the graph with neighbour rows `rows`.
+
+    The pattern vertices are placed in BFS order. A vertex's candidates are
+    the common neighbours of its earlier neighbours' images (every vertex
+    when it has none), less the images used so far and, when induced, less
+    the neighbours of its earlier non-neighbours' images; at the last
+    position the candidates are counted, not tried.
+    """
+    adj = p.adjacency_sets()
+    order = _bfs_order(adj)
+    if not order:
+        return 1  # the pattern with no vertices has one map, the empty one
+    pos = {u: i for i, u in enumerate(order)}
+    nbr = [[pos[w] for w in adj[u] if pos[w] < i] for i, u in enumerate(order)]
+    non = [[j for j in range(i) if induced and j not in nbr[i]] for i in range(len(order))]
+    every = frozenset(range(len(rows)))
+    image = [0] * len(order)
+    last = len(order) - 1
+
+    def place(i: int) -> int:
+        cands = every
+        for j in nbr[i]:
+            cands = cands & rows[image[j]]
+        cands = cands.difference(image[:i])
+        for j in non[i]:
+            cands = cands - rows[image[j]]
+        if i == last:
+            return len(cands)
+        total = 0
+        for w in cands:
+            image[i] = w
+            total += place(i + 1)
+        return total
+
+    return place(0)
 
 
 def automorphism_count(p: CanonicalGraph) -> int:
     """Automorphisms: the injective edge-preserving maps of the pattern to itself."""
-    earlier, _ = _prepare_pattern(p)
-    masks = [sum(1 << w for w in nbrs) for nbrs in p.adjacency_sets()]
-    return _count_maps_bitmask(earlier, masks)
+    return _count_maps(p, p.adjacency_sets(), induced=False)
 
 
 def subgraph_counts(
@@ -447,101 +472,23 @@ def subgraph_counts(
 ) -> list[int]:
     """Exact (induced) subgraph counts for each pattern, in input order.
 
-    Candidate vertex sets are enumerated connectedly when the pattern is
-    connected, with a degree-sequence pre-filter; otherwise all subsets are
-    scanned. Copies on a vertex set are counted as injective edge-preserving
-    maps divided by the pattern's automorphisms; a map onto a vertex set of
-    the pattern's size is a bijection, so it is an induced copy exactly when
-    the vertex set spans as many edges as the pattern.
+    Each copy of a pattern P is the image of |Aut P| injective edge-preserving
+    maps P -> g; with the induced non-edges required too, those maps are the
+    isomorphisms of P onto the induced subgraphs (docs/decisions.md, section 6).
     """
     for p in patterns:
         if p.vertex_count > MAX_CANONICAL_VERTICES:
             raise ValueError("pattern too large")
-    counts = [0] * len(patterns)
-    nbrs = _neighbor_sets(g)
-    by_size: dict[int, list[int]] = {}
-    for idx, p in enumerate(patterns):
-        by_size.setdefault(p.vertex_count, []).append(idx)
-    for size, idxs in by_size.items():
-        conn = [i for i in idxs if _is_connected_pattern(patterns[i])]
-        free = [i for i in idxs if i not in set(conn)]
-        if conn:
-            _census_fixed_size(nbrs, patterns, conn, size, induced, counts, connected_only=True)
-        if free:
-            _census_fixed_size(nbrs, patterns, free, size, induced, counts, connected_only=False)
-    return counts
-
-
-def _prepare_pattern(p: CanonicalGraph):
-    """BFS vertex order plus, per position, the earlier-neighbor positions."""
-    adj = p.adjacency_sets()
-    order = _bfs_order(adj)
-    pos = {v: i for i, v in enumerate(order)}
-    earlier = [
-        [pos[u] for u in adj[pv] if pos[u] < i] for i, pv in enumerate(order)
-    ]
-    degs_desc = tuple(sorted((len(s) for s in adj), reverse=True))
-    return earlier, degs_desc
-
-
-def _count_maps_bitmask(earlier, tadj_masks) -> int:
-    """Injective edge-preserving maps pattern -> target, adjacency as bitmasks."""
-    v = len(earlier)
-    s = len(tadj_masks)
-    full = (1 << s) - 1
-    assign = [0] * v
-    total = 0
-
-    def bt(i: int, used: int) -> None:
-        nonlocal total
-        if i == v:
-            total += 1
-            return
-        cands = full & ~used
-        for j in earlier[i]:
-            cands &= tadj_masks[assign[j]]
-        while cands:
-            bit = cands & -cands
-            cands ^= bit
-            assign[i] = bit.bit_length() - 1
-            bt(i + 1, used | bit)
-
-    bt(0, 0)
-    return total
-
-
-def _census_fixed_size(nbrs, patterns, idxs, size, induced, counts, connected_only):
-    prepared = {i: _prepare_pattern(patterns[i]) for i in idxs}
-    subsets = (
-        _connected_subsets(nbrs, size)
-        if connected_only
-        else combinations(range(len(nbrs)), size)
-    )
-    maps = {i: 0 for i in idxs}
-    for subset in subsets:
-        sset = set(subset)
-        tgt_adj = {v: nbrs[v] & sset for v in subset}
-        degs_desc = sorted((len(tgt_adj[v]) for v in subset), reverse=True)
-        masks = None
-        for i in idxs:
-            earlier, pat_desc = prepared[i]
-            # an induced copy spans exactly the pattern's edges
-            if induced and sum(degs_desc) != sum(pat_desc):
-                continue
-            # induced degrees must dominate the pattern degree sequence
-            if any(td < pd for td, pd in zip(degs_desc, pat_desc)):
-                continue
-            if masks is None:
-                index = {v: b for b, v in enumerate(subset)}
-                masks = [
-                    sum(1 << index[w] for w in tgt_adj[v]) for v in subset
-                ]
-            maps[i] += _count_maps_bitmask(earlier, masks)
-    for i in idxs:
-        aut = automorphism_count(patterns[i])
-        if maps[i] % aut:
+        if p.vertex_count < 1:
+            raise ValueError("pattern needs at least one vertex")
+    rows = _neighbor_sets(g)
+    counts = []
+    for p in patterns:
+        maps, aut = _count_maps(p, rows, induced), automorphism_count(p)
+        if maps % aut:
             raise RuntimeError("map count not divisible by automorphism count")
-        counts[i] = maps[i] // aut
+        counts.append(maps // aut)
+    return counts
 
 
 # ---------------------------------------------------------------------------

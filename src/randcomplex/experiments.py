@@ -83,6 +83,10 @@ class RegimeSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"'{name}' must be an int, got {value!r}")
+        for name in ("p", "r", "gamma", "alpha"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, type(None))):
+                raise ValueError(f"'{name}' must be a real number, got {value!r}")
         if self.density not in DENSITY_KINDS:
             raise ValueError(f"'density' must be one of {DENSITY_KINDS}, got {self.density!r}")
         if self.n < 0:

@@ -467,6 +467,8 @@ def test_automorphism_counts():
     assert automorphism_count(canonical_form(5, [(0, 1), (0, 2), (0, 3), (0, 4)])) == 24
     assert automorphism_count(canonical_form(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) == 8
     assert automorphism_count(cross_polytope_skeleton(2)) == 48
+    assert automorphism_count(canonical_form(4, [(0, 1), (2, 3)])) == 8
+    assert automorphism_count(canonical_form(3, [])) == 6
 
 
 def test_canonical_form_invariant_under_permutation():
@@ -528,8 +530,11 @@ def test_subgraph_counts_match_brute_force():
         canonical_form(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
         canonical_form(3, [(0, 1), (1, 2)]),
         canonical_form(5, [(0, 1), (0, 2), (0, 3), (3, 4)]),
-        canonical_form(4, [(0, 1), (2, 3)]),  # 2K2: disconnected, scans all subsets
+        canonical_form(4, [(0, 1), (2, 3)]),  # 2K2: disconnected, a second root placed anywhere
         CanonicalGraph(4, ((2, 3), (0, 2), (1, 2))),  # hand-built, not canonical
+        canonical_form(3, []),  # edgeless: every vertex is a candidate at each position
+        canonical_form(4, [(0, 1), (1, 2), (0, 2)]),  # triangle plus an isolated vertex
+        canonical_form(1, []),
     ]
     for _ in range(20):
         n = int(gen.integers(4, 9))
@@ -544,12 +549,16 @@ def test_subgraph_counts_match_brute_force():
                     n, neighbor_sets(g), pat.edges, pat.vertex_count, induced
                 )
                 assert got == ref
+                if pat.vertex_count == 1:
+                    assert got == n
 
 
 def test_subgraph_counts_rejects_large_pattern():
     big = canonical_form(9, [(i, i + 1) for i in range(8)])
     with pytest.raises(ValueError):
         subgraph_counts(path_graph(4), [canonical_form(10, [])])
+    with pytest.raises(ValueError, match="at least one vertex"):
+        subgraph_counts(path_graph(4), [canonical_form(0, [])])
     assert subgraph_counts(path_graph(12), [big], induced=False)[0] == 4
 
 

@@ -99,6 +99,8 @@ def test_regime_rejects_unscaled_models():
         (dict(model="er_clique", k=1.0, n=10, p=0.2), "'k' must be an int"),
         (dict(model="cech", k=3, n=10, d=2.0, alpha=2.0), "'d' must be an int"),
         (dict(model="rips", k=1, n=10, d=False, alpha=2.0), "'d' must be an int"),
+        (dict(model="er_clique", k=1, n=10, p=True), "'p' must be a real number"),
+        (dict(model="rips", k=1, n=10, alpha="2"), "'alpha' must be a real number"),
     ],
 )
 def test_regime_rejects_degenerate_scaling(kwargs, message):
