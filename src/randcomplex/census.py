@@ -29,7 +29,7 @@ Conventions recorded here because the counts are only defined up to them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -670,60 +670,3 @@ def _hits(Y: np.ndarray, rho: float) -> int:
         for i in range(k):
             X = X[enclosing_radius(np.delete(X, i, axis=1)) <= 1.0 + RADIUS_RTOL]
     return len(X)
-
-
-# ---------------------------------------------------------------------------
-# Census report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CensusReport:
-    """Every counter from the sandwich bounds for one complex instance.
-
-    The counters refer to degree `k`; each is None when the model at hand
-    does not take it. `f_ge` maps i to f_k^(>=i), and `trees` holds the
-    non-induced path, star and spider counts (t1, t2, t3) of the Rips k=1
-    tree bound. Keys follow the stable flat naming used in serialized
-    output.
-    """
-
-    f: tuple[int, ...]
-    betti: tuple[int, ...]
-    k: int
-    euler: int | None = None
-    s_empty: int | None = None
-    s_isolated: int | None = None
-    y_count: int | None = None
-    z_count: int | None = None
-    o_induced: int | None = None
-    o_component: int | None = None
-    f_ge: dict[int, int] = field(default_factory=dict)
-    trees: tuple[int, ...] = ()
-
-    def validate(self) -> None:
-        k = self.k
-        if None not in (self.s_empty, self.s_isolated) and self.s_isolated > self.s_empty:
-            raise ValueError(f"S_iso_{k}={self.s_isolated} exceeds S_{k}={self.s_empty}")
-        if None not in (self.o_induced, self.o_component) and self.o_component > self.o_induced:
-            raise ValueError(f"o_comp_{k}={self.o_component} exceeds o_{k}={self.o_induced}")
-        if 1 in self.f_ge and k < len(self.f) and self.f_ge[1] != self.f[k]:
-            raise ValueError(f"f_{k}_ge_1={self.f_ge[1]} != f_{k}={self.f[k]}")
-        values = [v for _, v in sorted(self.f_ge.items())]
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise ValueError(f"f_{k}_ge_i increasing in i")
-
-    def to_json_dict(self) -> dict:
-        k = self.k
-        out: dict[str, int | None] = {f"f_{i}": v for i, v in enumerate(self.f)}
-        out.update({f"betti_{i}": v for i, v in enumerate(self.betti)})
-        out["euler"] = self.euler
-        counters = (
-            (f"S_{k}", self.s_empty), (f"S_iso_{k}", self.s_isolated),
-            (f"Y_{k}", self.y_count), (f"Z_{k}", self.z_count),
-            (f"o_{k}", self.o_induced), (f"o_comp_{k}", self.o_component),
-        )
-        out.update({name: v for name, v in counters if v is not None})
-        out.update({f"f_{k}_ge_{i}": self.f_ge[i] for i in sorted(self.f_ge)})
-        out.update({f"t{i}": v for i, v in enumerate(self.trees, 1)})
-        return out

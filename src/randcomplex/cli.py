@@ -182,7 +182,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     try:
         cfg = _merge_config(args, _REGIME_KEYS)
         spec = _regime_from(cfg)
-        report = instance_census(spec, RngStream(args.seed, args.stream))
+        row = instance_census(spec, RngStream(args.seed, args.stream))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(2, "config", str(exc))
     payload = {
@@ -190,7 +190,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         "regime": {**asdict(spec), "resolved": spec.resolved_parameters()},
         "master_seed": args.seed,
         "stream_index": args.stream,
-        "census": report.to_json_dict(),
+        "census": row,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .census import (
-    CensusReport,
     cross_polytope_counts,
     empty_simplex_counts,
     er_expected_faces,
@@ -177,20 +176,24 @@ def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
             raise AssertionError(f"Morse violation at degree {k}: {lower} <= {b} <= {f[k]}")
 
 
-def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
-    """Build one instance of the regime, take its census, and check the bounds.
+def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
+    """Build one instance of the regime, take its census, check the bounds and
+    return the census row.
 
     This is the whole trial pipeline: trial t of an experiment is
-    `instance_census(spec, RngStream(master_seed, t))`. A Rips trial takes
-    its Betti numbers from the strong-collapse core of its flag complex,
-    which has the same ones; f and every check and count below read the
-    full complex (docs/decisions.md, section 15). Raises AssertionError
-    when beta_0 (the union-find over the edges) differs from the component
-    count of g (hooking and pointer jumping over its edge keys), or when the
-    Morse inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1)
-    or the report's own consistency checks fail. The Euler characteristic is
-    reported only when the built complex is provably full-dimensional (its
-    top face layer is empty, so no face exists above the cap).
+    `instance_census(spec, RngStream(master_seed, t))`, and its CSV row is
+    this row minus `euler` and `f_k_ge_1`. The row holds f_i, betti_i and
+    `euler`, then S_k, S_iso_k, Y_k, Z_k (Cech) or o_k, o_comp_k, f_k_ge_1,
+    f_k_ge_{2k+3} (Rips), then t1-t3 (Rips k=1). `euler` is None unless the
+    built complex is provably full-dimensional (its top face layer is
+    empty, so no face exists above the cap). A Rips trial takes its Betti
+    numbers from the strong-collapse core of its flag complex, which has
+    the same ones; f and every check and count below read the full complex
+    (docs/decisions.md, section 15). Raises AssertionError when beta_0 (the
+    union-find over the edges) differs from the component count of g
+    (hooking and pointer jumping over its edge keys), or when the Morse
+    inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1),
+    S_iso <= S, o_comp <= o or f_k_ge_{2k+3} <= f_k fail.
     """
     k = spec.k
     top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed
@@ -211,7 +214,9 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
     if betti[0] != comp_count:
         raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")
     _assert_morse(f, betti)
-    report = CensusReport(f=f, betti=betti, k=k)
+    row: dict[str, int | None] = {f"f_{i}": v for i, v in enumerate(f)}
+    row.update({f"betti_{i}": v for i, v in enumerate(betti)})
+    row["euler"] = euler_characteristic(c) if f[-1] == 0 else None
     if spec.model == "cech":
         s, s_iso = empty_simplex_counts(c, g, k)
         y = y_count(g, k)
@@ -220,7 +225,9 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
             raise AssertionError(
                 f"Cech sandwich violation: {s_iso} <= beta_{top}={betti[top]} <= {s}+{y}+{z}"
             )
-        report.s_empty, report.s_isolated, report.y_count, report.z_count = s, s_iso, y, z
+        if s_iso > s:
+            raise AssertionError(f"census inconsistency: S_iso_{k}={s_iso} exceeds S_{k}={s}")
+        row.update({f"S_{k}": s, f"S_iso_{k}": s_iso, f"Y_{k}": y, f"Z_{k}": z})
     elif spec.model == "rips":
         o_ind, o_comp = cross_polytope_counts(g, k)
         fge = faces_on_large_components(c, g, k, 2 * k + 3)
@@ -228,29 +235,29 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> CensusReport:
             raise AssertionError(
                 f"Rips sandwich violation: {o_comp} <= beta_{k}={betti[k]} <= {o_comp}+{fge}"
             )
-        report.o_induced, report.o_component = o_ind, o_comp
-        report.f_ge = {1: f[k], 2 * k + 3: fge}
+        if o_comp > o_ind:
+            raise AssertionError(f"census inconsistency: o_comp_{k}={o_comp} exceeds o_{k}={o_ind}")
+        if fge > f[k]:
+            raise AssertionError(
+                f"census inconsistency: f_{k}_ge_{2 * k + 3}={fge} exceeds f_{k}={f[k]}"
+            )
+        row.update({f"o_{k}": o_ind, f"o_comp_{k}": o_comp,
+                    f"f_{k}_ge_1": f[k], f"f_{k}_ge_{2 * k + 3}": fge})
         if k == 1:
             t1, t2, t3 = tree_counts_order5(g)
             if fge > 4 * (t1 + t2 + t3):
                 raise AssertionError(
                     f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"
                 )
-            report.trees = (t1, t2, t3)
-    if f[-1] == 0:
-        report.euler = euler_characteristic(c)
-    try:
-        report.validate()  # S_iso <= S, o_comp <= o and the f_ge ordering
-    except ValueError as exc:
-        raise AssertionError(f"census inconsistency: {exc}") from exc
-    return report
+            row.update(t1=t1, t2=t2, t3=t3)
+    return row
 
 
 def _run_trial(args: tuple[RegimeSpec, int, int]) -> dict[str, int]:
     """Row of trial t: the census minus euler (not always defined) and f_k_ge_1 (= f_k)."""
     spec, master_seed, t = args
     try:
-        report = instance_census(spec, RngStream(master_seed, t))
+        row = instance_census(spec, RngStream(master_seed, t))
     except (AssertionError, RuntimeError) as exc:
         flags = " ".join(
             f"--{name} {value}"
@@ -262,9 +269,7 @@ def _run_trial(args: tuple[RegimeSpec, int, int]) -> dict[str, int]:
             f"randcomplex census {flags} --seed {master_seed} --stream {t}"
         ) from exc
     return {
-        name: v
-        for name, v in report.to_json_dict().items()
-        if name != "euler" and not name.endswith("_ge_1")
+        name: v for name, v in row.items() if name != "euler" and not name.endswith("_ge_1")
     }
 
 
@@ -475,10 +480,12 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
     is deterministic. The terms are added in order of j, and the sum ends
     early past the mode and the largest sample once twice the mass no
     longer moves the total. The masses are evaluated in blocks of
-    `_TV_BLOCK`, with lgamma(j + 1) from a table shared by every call; the
-    masses that provably underflow to 0.0, below the mode and past the
-    last nonzero one, are not evaluated. Every bit of the distance is that
-    of the one-mass-at-a-time loop (docs/decisions.md, section 13).
+    `_TV_BLOCK`, cut once at ceil(lam + 10 sqrt(lam) + 30) so that a small
+    mean evaluates a few dozen, with lgamma(j + 1) from a table shared by
+    every call; the masses that provably underflow to 0.0, below the mode
+    and past the last nonzero one, are not evaluated. Every bit of the
+    distance is that of the one-mass-at-a-time loop (docs/decisions.md,
+    section 13).
     `weights` lets callers pass an exact pmf instead of equal-weight
     samples. Samples must be finite non-negative integral values, and
     weights finite and non-negative.
@@ -503,6 +510,7 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
         emp[j] = emp.get(j, 0.0) + w
     keys = sorted(emp)
     log_lam, far, top = math.log(lam), lam + 40.0 * math.sqrt(lam) + 100, keys[-1]
+    first = math.ceil(lam + 10.0 * math.sqrt(lam) + 30)  # where a block is cut once
     # a mass of 0.0 adds nothing to the running mass and emp(j) to the total
     a = _left_zero_masses(lam, log_lam)
     k = bisect.bisect_left(keys, a)
@@ -512,6 +520,8 @@ def tv_to_poisson(samples, lam: float, weights=None) -> float:
     cumulative, tail = 0.0, True
     while not _right_zero_masses(a, lam, log_lam):
         b = (a // _TV_BLOCK + 1) * _TV_BLOCK
+        if a < first:
+            b = min(b, first)
         arg = np.arange(a, b) * log_lam - lam - _log_factorial(a, b)
         p = np.array(list(map(math.exp, arg.tolist())))
         e = np.zeros(b - a)

@@ -185,9 +185,6 @@ class BettiVector:
     betti: tuple[int, ...]
     ranks: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"q": self.field_prime, "betti": list(self.betti), "ranks": list(self.ranks)}
-
 
 def _resolve_up_to(c: SimplicialComplex, up_to: int | None) -> int:
     """The top degree, by default max_dim - 1; it must lie in 0..max_dim - 1.

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from randcomplex import (
-    CensusReport,
     ComponentDecomposition,
     Graph,
     MuEstimate,
@@ -291,6 +290,14 @@ def test_tv_cost_stops_growing_past_the_zero_masses():
         assert counts[-1] == counts[-2]
 
 
+def test_tv_small_mean_evaluates_a_short_first_block():
+    # the first block ends at ceil(lam + 10 sqrt(lam) + 30) = 47, not at 512
+    for samples in ([0, 1, 2, 3, 5], [0] * 5, [2, 9]):
+        got, masses = _exp_calls(tv_to_poisson, samples, 2.0)
+        assert masses <= 64
+        assert repr(got) == repr(tv_to_poisson_loop(samples, 2.0))
+
+
 def test_tv_input_validation():
     with pytest.raises(ValueError):
         tv_to_poisson([], 1.0)
@@ -551,55 +558,36 @@ def test_cech_isolation_ratio_improves_with_n():
 
 def test_instance_census_er():
     spec = RegimeSpec(model="er_clique", k=1, n=15, p=0.2)
-    report = instance_census(spec, RngStream(3))
-    d = report.to_json_dict()
-    assert d["f_0"] == 15
-    assert "betti_1" in d
-    report.validate()
+    row = instance_census(spec, RngStream(3))
+    assert row["f_0"] == 15
+    assert "betti_1" in row
 
 
 def test_instance_census_cech_counters_and_keys():
     spec = RegimeSpec(model="cech", k=3, n=80, d=2, alpha=1.0)
-    report = instance_census(spec, RngStream(4))
-    d = report.to_json_dict()
-    for key in ("S_3", "S_iso_3", "Y_3", "Z_3", "betti_0", "betti_1", "euler"):
-        assert key in d
-    assert d["S_iso_3"] <= d["S_3"]
+    row = instance_census(spec, RngStream(4))
+    assert list(row) == [
+        "f_0", "f_1", "f_2", "betti_0", "betti_1", "euler", "S_3", "S_iso_3", "Y_3", "Z_3",
+    ]
+    assert row["S_iso_3"] <= row["S_3"]
 
 
 def test_instance_census_rips_keys():
     spec = RegimeSpec(model="rips", k=1, n=80, d=2, alpha=1.0)
-    report = instance_census(spec, RngStream(5))
-    d = report.to_json_dict()
-    assert "o_1" in d and "o_comp_1" in d and "f_1_ge_5" in d
-    assert d["f_1_ge_1"] == d["f_1"]
+    row = instance_census(spec, RngStream(5))
+    assert list(row) == [
+        "f_0", "f_1", "f_2", "betti_0", "betti_1", "euler",
+        "o_1", "o_comp_1", "f_1_ge_1", "f_1_ge_5", "t1", "t2", "t3",
+    ]
+    assert row["f_1_ge_1"] == row["f_1"]
+    assert row["f_1_ge_5"] <= row["f_1"] and row["o_comp_1"] <= row["o_1"]
 
 
 def test_instance_census_euler_only_when_full_dimension():
     sparse = instance_census(RegimeSpec(model="er_clique", k=1, n=12, p=0.05), RngStream(6))
-    assert sparse.euler is not None  # no triangles at this density
+    assert sparse["euler"] is not None  # no triangles at this density
     dense = instance_census(RegimeSpec(model="er_clique", k=1, n=20, p=0.9), RngStream(6))
-    assert dense.euler is None  # cap at dim 2 cuts off real higher faces
-
-
-def test_census_report_validation_catches_violations():
-    good = CensusReport(f=(3, 1), betti=(2,), k=3, s_empty=2, s_isolated=1)
-    good.validate()
-    assert good.to_json_dict() == {
-        "f_0": 3, "f_1": 1, "betti_0": 2, "euler": None, "S_3": 2, "S_iso_3": 1,
-    }
-    bad = CensusReport(f=(3, 1), betti=(2,), k=3, s_empty=1, s_isolated=2)
-    with pytest.raises(ValueError, match="S_iso_3=2 exceeds S_3=1"):
-        bad.validate()
-    bad_o = CensusReport(f=(3,), betti=(1,), k=1, o_induced=0, o_component=2)
-    with pytest.raises(ValueError, match="o_comp_1=2 exceeds o_1=0"):
-        bad_o.validate()
-    bad_fge = CensusReport(f=(4, 2), betti=(1,), k=1, f_ge={2: 1, 3: 2})
-    with pytest.raises(ValueError, match="increasing"):
-        bad_fge.validate()
-    bad_f1 = CensusReport(f=(4, 2), betti=(1,), k=1, f_ge={1: 3})
-    with pytest.raises(ValueError, match="f_1_ge_1=3 != f_1=2"):
-        bad_f1.validate()
+    assert dense["euler"] is None  # cap at dim 2 cuts off real higher faces
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +603,10 @@ PIPELINE_SPECS = {
 }
 
 
-def _trial_projection(report) -> dict:
+def _trial_projection(row: dict) -> dict:
     return {
         key: v
-        for key, v in report.to_json_dict().items()
+        for key, v in row.items()
         if key != "euler" and not re.fullmatch(r"f_\d+_ge_1", key)
     }
 
@@ -636,6 +624,18 @@ def test_trial_row_is_projected_instance_census(name):
 _UNION_FIND = homology._rank_d1
 
 
+def _s_iso_above_s(c, g, k):
+    """S_iso as counted, and S one below it: the Cech sandwich still holds."""
+    _, s_iso = census.empty_simplex_counts(c, g, k)
+    return s_iso - 1, s_iso
+
+
+def _o_comp_above_o(g, k):
+    """o_comp as counted, and o one below it: the Rips sandwich still holds."""
+    _, o_comp = census.cross_polytope_counts(g, k)
+    return o_comp - 1, o_comp
+
+
 @pytest.mark.parametrize(
     "name, counter, fake, message",
     [
@@ -646,7 +646,11 @@ _UNION_FIND = homology._rank_d1
         ("rips-k1", "experiments.tree_counts_order5", lambda g: (0, 0, 0),
          "tree bound violation"),
         ("rips-k2", "experiments.faces_on_large_components", lambda c, g, k, i: 10**9,
-         "census inconsistency"),
+         "census inconsistency: f_2_ge_7=1000000000 exceeds f_2="),
+        ("cech", "experiments.empty_simplex_counts", _s_iso_above_s,
+         "census inconsistency: S_iso_3=0 exceeds S_3=-1"),
+        ("rips-k1", "experiments.cross_polytope_counts", _o_comp_above_o,
+         "census inconsistency: o_comp_1=0 exceeds o_1=-1"),
         ("er", "homology._rank_d1", lambda c: _UNION_FIND(c) - 1,
          "beta_0=.* disagrees with component count"),
         ("cech", "experiments.components",
@@ -654,7 +658,8 @@ _UNION_FIND = homology._rank_d1
          "beta_0=.* disagrees with component count 0"),
     ],
     ids=["er-morse", "cech-sandwich", "rips-sandwich", "rips-tree-bound",
-         "rips-consistency", "beta0-union-find", "beta0-components"],
+         "rips-consistency", "cech-s-iso-above-s", "rips-o-comp-above-o",
+         "beta0-union-find", "beta0-components"],
 )
 def test_bound_violations_raise(monkeypatch, name, counter, fake, message):
     spec = PIPELINE_SPECS[name]
@@ -718,13 +723,13 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
     monkeypatch.setattr("randcomplex.complexes.ComponentDecomposition", counted_decomposition)
     monkeypatch.setattr(generators, "_clique_faces", counted_expand)
     monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
-    report = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    row = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
     # g first, then the pair graph of cross_polytope_counts; each expanded once, in that order
     assert len(built) == (2 if PIPELINE_SPECS[name].model == "rips" else 1)
     assert [id(e) for e in expanded] == [id(b) for b in built]
     assert len(decomposed) == 1
     monkeypatch.undo()
-    assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert row == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
@@ -737,10 +742,10 @@ def test_only_rips_trials_take_betti_numbers_from_the_core(monkeypatch, name):
         return collapse(c, g)
 
     monkeypatch.setattr(experiments, "strong_collapse_core", counted)
-    report = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    row = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
     assert len(calls) == (PIPELINE_SPECS[name].model == "rips")
     monkeypatch.undo()
-    assert report == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert row == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
 def test_core_that_loses_a_component_fails_the_beta0_check(monkeypatch):
