@@ -160,14 +160,16 @@ def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
 
 
 def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
-    """The subcomplex of c = `clique_complex(g, ...)` induced on a strong-collapse core of g.
+    """The subcomplex of c = `clique_complex(g, ...)` left by one round of strong collapses of g.
 
     Deleting a vertex v with N[v] ⊆ N[u] for a neighbour u, that is with
     edge codegree c_vu = d_v - 1, keeps the homotopy type of the flag
-    complex, so the core has the Betti numbers of c below its top dimension.
-    One array round deletes every v with a neighbour u such that N[v] ⊊ N[u],
-    or N[v] = N[u] and u < v; a worklist then deletes the dominated survivors
-    one at a time. Vertices keep their labels (docs/decisions.md, section 15).
+    complex, so the result has the Betti numbers of c below its top
+    dimension. One array round deletes every v with a neighbour u such that
+    N[v] ⊊ N[u], or N[v] = N[u] and u < v, and keeps the faces of c whose
+    vertices all survive. Dominated vertices may remain: a survivor can be
+    dominated once its neighbours are gone. Vertices keep their labels
+    (docs/decisions.md, section 15).
     """
     n = g.vertex_count
     d, _, _, codegree = _codegrees(g)[:4]
@@ -175,26 +177,6 @@ def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
     ds, dn = d[src], d[nbr]
     alive = np.ones(n, dtype=bool)
     alive[src[(codegree == ds - 1) & ((ds < dn) | ((ds == dn) & (nbr < src)))]] = False
-    closed: dict[int, set[int]] = {}  # N[v] of each survivor with a surviving edge
-    for u, v in c.faces[1][alive[c.faces[1]].all(1)].tolist():
-        closed.setdefault(u, {u}).add(v)
-        closed.setdefault(v, {v}).add(u)
-    queue, removed = list(closed), []
-    while queue:
-        v = queue.pop()
-        nv = closed.get(v, ())
-        for u in nv:
-            if u != v and nv <= closed[u]:
-                break
-        else:
-            continue  # no neighbour dominates v
-        del closed[v]
-        removed.append(v)
-        nv.discard(v)
-        for u in nv:
-            closed[u].discard(v)
-        queue += nv
-    alive[removed] = False
     return SimplicialComplex(n, tuple(layer[alive[layer].all(1)] for layer in c.faces), c.max_dim)
 
 
@@ -544,39 +526,31 @@ def er_expected_faces(n: int, k: int, p: float) -> float:
         return math.exp(_log_comb(n, m) + exponent * math.log(p))
 
 
-def er_variance_faces(n: int, k: int, p: float) -> float:
-    """Exact Var(f_k), by the pair expansion over intersection sizes r."""
+def _er_pair_moment(n: int, k: int, j: int, p: float) -> float:
+    """Exact Cov(f_k, f_{k+j}), by the pair expansion over intersection sizes r
+    of a (k+1)-set and a (k+1+j)-set."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p outside [0, 1]")
-    m = k + 1
-    if m > n or p in (0.0, 1.0):
+    a, b = k + 1, k + 1 + j
+    if b > n or p in (0.0, 1.0):
         return 0.0
-    ck = math.comb(m, 2)
+    exps = math.comb(a, 2) + math.comb(b, 2)
     terms = [
-        float(math.comb(m, r)) * float(math.comb(n - m, m - r)) * p ** (2 * ck - math.comb(r, 2))
-        for r in range(m + 1)
+        float(math.comb(a, r)) * float(math.comb(n - a, b - r)) * p ** (exps - math.comb(r, 2))
+        for r in range(a + 1)
     ]
-    mean = er_expected_faces(n, k, p)
-    return float(math.comb(n, m)) * math.fsum(terms) - mean * mean
+    mean_a, mean_b = er_expected_faces(n, k, p), er_expected_faces(n, k + j, p)
+    return float(math.comb(n, a)) * math.fsum(terms) - mean_a * mean_b
+
+
+def er_variance_faces(n: int, k: int, p: float) -> float:
+    """Exact Var(f_k), by the pair expansion over intersection sizes r."""
+    return _er_pair_moment(n, k, 0, p)
 
 
 def er_covariance_faces(n: int, k: int, p: float) -> float:
     """Exact Cov(f_k, f_{k+1}), by the same expansion across sizes."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p outside [0, 1]")
-    m = k + 1
-    if m + 1 > n or p in (0.0, 1.0):
-        return 0.0
-    exps = math.comb(m, 2) + math.comb(m + 1, 2)
-    terms = [
-        float(math.comb(m, r))
-        * float(math.comb(n - m, m + 1 - r))
-        * p ** (exps - math.comb(r, 2))
-        for r in range(m + 1)
-    ]
-    return float(math.comb(n, m)) * math.fsum(terms) - er_expected_faces(
-        n, k, p
-    ) * er_expected_faces(n, k + 1, p)
+    return _er_pair_moment(n, k, 1, p)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict
 
 from . import __version__
 from .census import enumerate_extension_types, estimate_mu
@@ -187,7 +186,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         return _fail(2, "config", str(exc))
     payload = {
         "version": __version__,
-        "regime": {**asdict(spec), "resolved": spec.resolved_parameters()},
+        "regime": spec.record(),
         "master_seed": args.seed,
         "stream_index": args.stream,
         "census": row,

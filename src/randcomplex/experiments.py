@@ -142,6 +142,10 @@ class RegimeSpec:
             return {"p": self.resolve_p()}
         return {"r": self.resolve_r()}
 
+    def record(self) -> dict:
+        """The regime as every output writes it: its fields and the resolved p or r."""
+        return {**asdict(self), "resolved": self.resolved_parameters()}
+
     def regime_warnings(self) -> tuple[str, ...]:
         """Flags for hypotheses of the limit theorems that the size violates."""
         notes = []
@@ -187,13 +191,14 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
     f_k_ge_{2k+3} (Rips), then t1-t3 (Rips k=1). `euler` is None unless the
     built complex is provably full-dimensional (its top face layer is
     empty, so no face exists above the cap). A Rips trial takes its Betti
-    numbers from the strong-collapse core of its flag complex, which has
-    the same ones; f and every check and count below read the full complex
-    (docs/decisions.md, section 15). Raises AssertionError when beta_0 (the
-    union-find over the edges) differs from the component count of g
-    (hooking and pointer jumping over its edge keys), or when the Morse
-    inequalities, the Cech or Rips sandwich, the tree bound (Rips k=1),
-    S_iso <= S, o_comp <= o or f_k_ge_{2k+3} <= f_k fail.
+    numbers from what one array round of strong collapses leaves of its
+    flag complex, which has the same ones; f and every check and count
+    below read the full complex (docs/decisions.md, section 15). Raises
+    AssertionError when beta_0 (the union-find over the edges) differs
+    from the component count of g (hooking and pointer jumping over its
+    edge keys), or when the Morse inequalities, the Cech or Rips sandwich,
+    the tree bound (Rips k=1), S_iso <= S, o_comp <= o or
+    f_k_ge_{2k+3} <= f_k fail.
     """
     k = spec.k
     top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed
@@ -298,11 +303,9 @@ class ExperimentResult:
         return [row[i] for row in self.per_trial]
 
     def to_summary_dict(self) -> dict:
-        regime = asdict(self.regime)
-        regime["resolved"] = self.regime.resolved_parameters()
         return {
             "version": __version__,
-            "regime": regime,
+            "regime": self.regime.record(),
             "trials": self.trials,
             "master_seed": self.master_seed,
             "aggregates": {
@@ -325,7 +328,7 @@ class ExperimentResult:
     def trials_csv(self) -> str:
         header = "# config: " + json.dumps(
             {
-                "regime": {**asdict(self.regime), "resolved": self.regime.resolved_parameters()},
+                "regime": self.regime.record(),
                 "trials": self.trials,
                 "master_seed": self.master_seed,
                 "version": __version__,

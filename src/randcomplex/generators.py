@@ -225,7 +225,8 @@ def cech_complex(
     `enclosing_radius` call, on the cliques whose prefix face was kept (by
     the face keys; every prefix of a triangle is an edge), which by
     monotonicity finds every face (docs/decisions.md, section 6). Pass
-    `graph` to reuse a geometric graph already built at the same scale.
+    `graph` to reuse a geometric graph already built at the same scale; a
+    graph with other than one vertex per point raises ValueError.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be non-negative")
@@ -233,6 +234,8 @@ def cech_complex(
         raise ValueError("r must be positive")
     g = geometric_graph(pts, r) if graph is None else graph
     n, P = g.vertex_count, pts.points
+    if n != len(P):
+        raise ValueError(f"graph has {n} vertices but there are {len(P)} points")
     cliques = _cliques_up_to(g, max_dim)
     faces = list(cliques[:2])
     for layer in cliques[2:]:

@@ -285,6 +285,19 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, row in enumerate(neighbor_rows(g)) for v in row if u < v]
 
 
+def collapse_round_survivors(g: Graph) -> list[int]:
+    """The vertices v with no neighbour u > v, by closed-neighbourhood sets, ascending.
+
+    u > v when N[v] is a proper subset of N[u], or N[v] = N[u] and u < v:
+    the vertices one round of strong collapses keeps.
+    """
+    closed = [row | {v} for v, row in enumerate(neighbor_sets(g))]
+    return [
+        v for v, nv in enumerate(closed)
+        if not any(nv < closed[u] or (nv == closed[u] and u < v) for u in nv - {v})
+    ]
+
+
 def dense(bm: BoundaryMatrix, q: int | None = None) -> np.ndarray:
     """The boundary matrix as a dense int64 array, entries mod q unless q is None."""
     mat = np.zeros((bm.row_count, bm.col_count), dtype=np.int64)

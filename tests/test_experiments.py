@@ -765,6 +765,34 @@ def test_core_that_loses_a_component_fails_the_beta0_check(monkeypatch):
             instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
 
 
+# Rips regimes outside the sparse one, where one collapse round leaves the most behind
+DENSE_RIPS_SPECS = {
+    "d3": RegimeSpec(model="rips", k=1, n=150, d=3, alpha=1e3),
+    "d1": RegimeSpec(model="rips", k=2, n=200, d=1, r=0.02),
+    "gaussian": RegimeSpec(model="rips", k=1, n=500, d=2, alpha=200.0, density="gaussian"),
+    "alpha100": RegimeSpec(model="rips", k=2, n=300, d=2, alpha=100.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_RIPS_SPECS))
+def test_dense_rips_rows_equal_those_of_the_full_complex(monkeypatch, name):
+    spec = DENSE_RIPS_SPECS[name]
+    assert any("outside the sparse regime" in note for note in spec.regime_warnings())
+    deleted = []
+    collapse = experiments.strong_collapse_core
+
+    def counted(c, g):
+        core = collapse(c, g)
+        deleted.append(len(c.faces[0]) - len(core.faces[0]))
+        return core
+
+    monkeypatch.setattr(experiments, "strong_collapse_core", counted)
+    rows = [instance_census(spec, RngStream(5, t)) for t in range(3)]
+    assert min(deleted) > 0
+    monkeypatch.setattr(experiments, "strong_collapse_core", lambda c, g: c)
+    assert rows == [instance_census(spec, RngStream(5, t)) for t in range(3)]
+
+
 # The two builders of per-vertex adjacency in `src/`: neighbour rows of the data
 # graph, and the adjacency sets of a census pattern.
 PER_VERTEX_BUILDERS = {

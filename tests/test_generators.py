@@ -15,6 +15,7 @@ from randcomplex import (
     betti_numbers,
     cech_complex,
     clique_complex,
+    empty_simplex_count,
     f_vector,
     gen_er_graph,
     generators,
@@ -204,6 +205,19 @@ def test_geometric_graph_rejects_nonpositive_radius():
         rips_complex(triangle, math.nan, 2)
     with pytest.raises(ValueError, match="positive"):
         generators.balls_intersect(EQUILATERAL, math.nan)
+
+
+def test_cech_complex_rejects_a_graph_of_other_points():
+    """A given graph must have one vertex per point, or its complex is not that of the
+    points (or a face gathers a point that is not there)."""
+    five = PointCloud(2, np.vstack((EQUILATERAL, [[10.0, 0.0], [20.0, 0.0]])))
+    for m in (3, 10):
+        g = geometric_graph(PointCloud(2, np.arange(2.0 * m).reshape(m, 2) / 2), 1.2)
+        with pytest.raises(ValueError, match=f"graph has {m} vertices but there are 5 points"):
+            cech_complex(five, 1.2, 2, graph=g)
+        with pytest.raises(ValueError, match=f"graph has {m} vertices but there are 5 points"):
+            empty_simplex_count(five, 1.2, 3, g)
+    assert f_vector(cech_complex(five, 1.2, 2, graph=geometric_graph(five, 1.2))) == (5, 3, 1)
 
 
 def _window_cases():
