@@ -159,6 +159,13 @@ def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
     return g._codegrees
 
 
+def _require_graph_of(c: SimplicialComplex, g: Graph) -> None:
+    """Raise ValueError unless g has one vertex per vertex slot of c."""
+    if g.vertex_count != c.vertex_count:
+        m, n = g.vertex_count, c.vertex_count
+        raise ValueError(f"graph has {m} vertices but the complex has {n}")
+
+
 def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
     """The subcomplex of c = `clique_complex(g, ...)` left by one round of strong collapses of g.
 
@@ -169,8 +176,10 @@ def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
     N[v] ⊊ N[u], or N[v] = N[u] and u < v, and keeps the faces of c whose
     vertices all survive. Dominated vertices may remain: a survivor can be
     dominated once its neighbours are gone. Vertices keep their labels
-    (docs/decisions.md, section 15).
+    (docs/decisions.md, section 15). A graph of another vertex count raises
+    ValueError.
     """
+    _require_graph_of(c, g)
     n = g.vertex_count
     d, _, _, codegree = _codegrees(g)[:4]
     src, nbr = np.divmod(g.edge_keys, n)
@@ -214,10 +223,12 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     of its k facets is a (k-2)-face, both looked up in the face keys of c,
     and isolated when its component of g is the clique itself
     (docs/decisions.md, section 10). For k = 2 they are the non-edges and
-    the pairs of isolated vertices.
+    the pairs of isolated vertices. A graph of another vertex count raises
+    ValueError.
     """
     if not 2 <= k <= c.max_dim + 1:
         raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
+    _require_graph_of(c, g)
     comp = components(g)
     if k == 2:
         n, lonely = g.vertex_count, int(np.count_nonzero(comp.size == 1))
@@ -345,9 +356,11 @@ def faces_on_large_components(
 
     A face lies on the component of its first vertex, so the count is one
     read of the per-vertex component sizes at the first column of the faces.
+    A graph of another vertex count raises ValueError.
     """
     if not 0 <= k <= c.max_dim:
         raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
+    _require_graph_of(c, g)
     comp = components(g)
     size = comp.size[comp.label]
     return int(np.count_nonzero(size[c.faces[k][:, 0]] >= i))

@@ -194,11 +194,11 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
     numbers from what one array round of strong collapses leaves of its
     flag complex, which has the same ones; f and every check and count
     below read the full complex (docs/decisions.md, section 15). Raises
-    AssertionError when beta_0 (the union-find over the edges) differs
-    from the component count of g (hooking and pointer jumping over its
-    edge keys), or when the Morse inequalities, the Cech or Rips sandwich,
-    the tree bound (Rips k=1), S_iso <= S, o_comp <= o or
-    f_k_ge_{2k+3} <= f_k fail.
+    AssertionError when beta_0 (min-label propagation and a union-find over
+    the edge rows) differs from the component count of g (hooking and
+    pointer jumping over its edge keys), or when the Morse inequalities,
+    the Cech or Rips sandwich, the tree bound (Rips k=1), S_iso <= S,
+    o_comp <= o or f_k_ge_{2k+3} <= f_k fail.
     """
     k = spec.k
     top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed

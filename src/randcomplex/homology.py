@@ -4,10 +4,11 @@ Betti numbers come from rank-nullity: beta_k = f_k - rank d_k - rank d_{k+1}.
 The working field is a prime q below 2^31; rank over GF(q) equals the
 rational rank unless q divides a torsion coefficient, which a second-prime
 pass detects. rank d_1 = f_0 - #components over every field, so
-`betti_numbers` counts it by union-find over the edges. It reduces d_2 and
-up with one sparse column reduction, from the top degree down, and skips
-the columns of d_k that are pivot rows of d_{k+1} (clearing). The rows of
-each boundary come from `searchsorted` on face keys, one per dimension.
+`betti_numbers` counts it by min-label propagation over the edge arrays,
+finished by a union-find. It reduces d_2 and up with one sparse column
+reduction, from the top degree down, and skips the columns of d_k that are
+pivot rows of d_{k+1} (clearing). The rows of each boundary come from
+`searchsorted` on face keys, one per dimension.
 `betti_numbers_exact` reduces every degree, d_1 included, over Q on Python
 ints, dividing each column by the gcd of its entries (docs/decisions.md,
 section 5).
@@ -133,11 +134,32 @@ def rank_gf(bm: BoundaryMatrix, q: int = DEFAULT_PRIME) -> int:
     return len(_pivot_lows(_columns(bm, q), q, ()))
 
 
+_LABEL_HANDOFF = 128  # split edges at or below which the union-find finishes
+_LABEL_ROUNDS = 16  # propagation rounds at most before the union-find finishes
+
+
 def _rank_d1(c: SimplicialComplex) -> int:
-    """rank d_1 = f_0 - #components: the edges that join two union-find trees."""
-    parent = list(range(c.vertex_count))
-    rank = 0
-    for u, v in c.faces[1].tolist():
+    """rank d_1 = f_0 - #components, by min-label propagation and a union-find finish.
+
+    Every label starts as its vertex, and each round both ends of every edge
+    take the smaller label, with no pointer jumping. Once at most
+    `_LABEL_HANDOFF` edges have ends of different labels, or after
+    `_LABEL_ROUNDS` rounds, a path-halving union-find starts from the labels
+    as its forest and joins the label pairs of those edges. The rank is the
+    vertices that point elsewhere plus the joins (docs/decisions.md, section 5).
+    """
+    lo, hi = c.faces[1].T
+    label = np.arange(c.vertex_count)
+    a, b, rounds = lo, hi, 0  # the end labels of the edges whose ends differ
+    while len(a) > _LABEL_HANDOFF and rounds < _LABEL_ROUNDS:
+        np.minimum.at(label, lo, label[hi])
+        np.minimum.at(label, hi, label[lo])
+        a, b = label[lo], label[hi]
+        split = a != b
+        a, b, rounds = a[split], b[split], rounds + 1
+    rank = int(np.count_nonzero(label != np.arange(c.vertex_count))) if rounds else 0
+    parent = label.tolist()
+    for u, v in zip(a.tolist(), b.tolist()):
         while parent[u] != u:  # find with path halving
             parent[u] = parent[parent[u]]
             u = parent[u]
@@ -217,10 +239,10 @@ def betti_numbers(
 
     d_{up_to+1} is reduced first and d_2 last. A column of d_k whose index
     is the low of a pivot of d_{k+1} reduces to zero, so it is skipped
-    (clearing). rank d_1 comes from a union-find over the edges, so beta_0
-    is its component count. `experiments.instance_census` checks that count
-    against the components of the graph the complex was built from
-    (docs/decisions.md, section 5).
+    (clearing). rank d_1 comes from min-label propagation over the edges,
+    finished by a union-find, so beta_0 is their component count.
+    `experiments.instance_census` checks that count against the components
+    of the graph the complex was built from (docs/decisions.md, section 5).
     """
     require_prime_field(q)
     top = _resolve_up_to(c, up_to) + 1

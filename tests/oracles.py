@@ -450,6 +450,23 @@ def components_by_bfs(g: Graph) -> ComponentDecomposition:
     return ComponentDecomposition(np.array(label, dtype=np.int64), np.array(sizes, dtype=np.int64))
 
 
+def rank_d1_by_union_find(c: SimplicialComplex) -> int:
+    """rank d_1 = f_0 - #components: the edges that join two union-find trees."""
+    parent = list(range(c.vertex_count))
+    rank = 0
+    for u, v in c.faces[1].tolist():
+        while parent[u] != u:  # find with path halving
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
+
+
 # ---------------------------------------------------------------------------
 # Boundary matrices and the homology corpora
 # ---------------------------------------------------------------------------

@@ -390,6 +390,24 @@ def test_faces_ge_matches_size_of_oracle_on_regime_graphs():
                 )
 
 
+def test_counters_reject_a_graph_of_another_vertex_count():
+    """A complex and a graph with different vertex counts are refused, not read off one
+    another: (complex, graph) of 10 and 5 vertices and the other way round."""
+    cycle = Graph.from_edges(10, [(i, (i + 1) % 10) for i in range(10)])
+    path = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+    for g, h in ((cycle, path), (path, cycle)):
+        c = clique_complex(g, 2)
+        message = f"graph has {h.vertex_count} vertices but the complex has {g.vertex_count}"
+        for count in (
+            lambda: faces_on_large_components(c, h, 1, 1),
+            lambda: empty_simplex_counts(c, h, 2),
+            lambda: empty_simplex_counts(c, h, 3),
+            lambda: census.strong_collapse_core(c, h),
+        ):
+            with pytest.raises(ValueError, match=message):
+                count()
+
+
 # ---------------------------------------------------------------------------
 # Subgraph census and canonical forms
 # ---------------------------------------------------------------------------

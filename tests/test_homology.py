@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from randcomplex import (
     rips_complex,
     sample_points,
 )
+from randcomplex import homology
 from randcomplex.census import strong_collapse_core
 from randcomplex.homology import (
     DEFAULT_PRIME,
@@ -41,7 +42,7 @@ from randcomplex.homology import (
 
 from oracles import (
     boundary_matrix_by_dict, c01_complexes, c03_complexes, collapse_round_survivors, dense,
-    face_tuples, rank_by_bareiss
+    face_tuples, rank_by_bareiss, rank_d1_by_union_find
 )
 
 
@@ -404,6 +405,87 @@ def test_rank_d1_degenerate_and_disconnected():
     assert_d1_rank_matches_eliminations(c)
     bv = betti_numbers(c)
     assert bv.betti == (5, 1) and bv.ranks[1] == 7
+
+
+class _CountingNumpy:
+    """numpy for `homology`, counting the `np.minimum.at` calls: two per propagation round."""
+
+    def __init__(self):
+        self.minimum, self.calls = self, 0
+
+    def at(self, *args):
+        self.calls += 1
+        np.minimum.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def rank_d1_and_rounds(c: SimplicialComplex) -> tuple[int, int]:
+    """`_rank_d1(c)`, checked against the union-find oracle, and its propagation rounds."""
+    with pytest.MonkeyPatch.context() as m:
+        spy = _CountingNumpy()
+        m.setattr(homology, "np", spy)
+        rank = homology._rank_d1(c)
+    assert rank == rank_d1_by_union_find(c)
+    return rank, spy.calls // 2
+
+
+def _benchmark_regime_complexes(count: int):
+    """(complex, is a Rips core) for `count` instances of each benchmark regime, with
+    the strong-collapse cores of the Rips ones."""
+    p = RegimeSpec(model="er_clique", k=1, n=400, gamma=0.7).resolve_p()
+    for t in range(count):
+        yield clique_complex(gen_er_graph(400, p, RngStream(41, t)), 2), False
+    for spec in (
+        RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0),
+        RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0),
+        RegimeSpec(model="rips", k=2, n=150, d=2, alpha=1.0),
+    ):
+        for t in range(count):
+            pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), RngStream(41, t))
+            r = spec.resolve_r()
+            if spec.model == "cech":
+                yield cech_complex(pts, r, 2), False
+            else:
+                g = geometric_graph(pts, r)
+                c = clique_complex(g, spec.k + 1)
+                yield c, False
+                yield strong_collapse_core(c, g), True
+
+
+def test_rank_d1_matches_union_find_on_er_corpus_and_benchmark_regimes():
+    gen = RngStream(29).generator()
+    for n in range(15):  # the corpus of test_rank_d1_union_find_matches_eliminations_er
+        for p in (0.0, 0.1, 0.3, 0.5, 0.8, 1.0):
+            g = gen_er_graph(n, p, RngStream(int(gen.integers(2**32))))
+            assert rank_d1_and_rounds(clique_complex(g, 2))[1] == 0
+    rounds = []
+    for c, is_core in _benchmark_regime_complexes(20):
+        rounds.append(rank_d1_and_rounds(c)[1])
+        if is_core:  # about 100 edges: straight to the union-find
+            assert rounds[-1] == 0 and len(c.faces[1]) <= homology._LABEL_HANDOFF
+    assert max(rounds) < homology._LABEL_ROUNDS and sum(r > 0 for r in rounds) >= 60
+
+
+def test_rank_d1_hands_over_above_128_edges():
+    pairs = RngStream(43).generator().permutation(np.array(list(combinations(range(60), 2))))
+    for m, ran in ((128, False), (129, True)):
+        c = clique_complex(Graph.from_edges(60, pairs[:m]), 1)
+        assert len(c.faces[1]) == m
+        assert (rank_d1_and_rounds(c)[1] > 0) == ran
+
+
+def test_rank_d1_past_the_round_cap():
+    """Long paths stop the propagation at the cap; the union-find finishes the rank."""
+    n = 2000
+    path = SimplicialComplex(
+        n, (np.arange(n).reshape(n, 1), np.column_stack((np.arange(n - 1), np.arange(1, n)))), 1
+    )
+    assert rank_d1_and_rounds(path) == (n - 1, homology._LABEL_ROUNDS)
+    # the graph of `randcomplex census --model cech --k 3 --d 1 --n 2000 --r 0.0025 --seed 1`
+    pts = sample_points(2000, DensitySpec("uniform_cube", 1), RngStream(1, 0))
+    assert rank_d1_and_rounds(cech_complex(pts, 0.0025, 2))[1] == homology._LABEL_ROUNDS
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 2**61 - 1, -7, 2.0, True, 2**31 + 11])
