@@ -35,8 +35,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .complexes import (
-    MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _deletions, _face_keys, _face_rows,
-    components
+    MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _by_trial, _deletions, _face_keys,
+    _face_rows, _segment_sums, components
 )
 from .generators import RngStream, cech_complex, cliques_of_order, geometric_graph
 from .miniball import RADIUS_RTOL, enclosing_radius
@@ -133,14 +133,15 @@ def tree_patterns_order5() -> tuple[CanonicalGraph, CanonicalGraph, CanonicalGra
 
 
 def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
-    """Degrees d, neighbour-degree sums s, pair codegrees w, edge codegrees c and wedges of g.
+    """Degrees d, neighbour-degree sums s, pair codegrees w, edge codegrees c, wedges and pairs of g.
 
     The wedges m-b-x (x ~ b ~ m) are gathered by `np.repeat` over the CSR rows
     of `g.edge_keys`, as in `_clique_faces`, into columns m, b, x sorted by
     (m, b, x). w counts the wedges of each key m*n + x: |N(m) & N(x)| for
     x != m, d_m for x = m. s_m counts the wedges from m, and c is w at each
     edge key, or 0 (docs/decisions.md, section 11). The read-only tuple
-    (d, s, w, c, m, b, x) is memoized on g, so every counter shares one gather.
+    (d, s, w, c, m, b, x, pairs), with the sorted keys m*n + x that w counts,
+    is memoized on g, so every counter shares one gather.
     """
     if g._codegrees is None:
         n, keys = g.vertex_count, g.edge_keys
@@ -153,7 +154,7 @@ def _codegrees(g: Graph) -> tuple[np.ndarray, ...]:
         pairs, w = np.unique(m * n + x, return_counts=True)
         pos = np.searchsorted(pairs, keys)
         c = np.where(pairs.take(pos, mode="clip") == keys, w.take(pos, mode="clip"), 0)
-        g._codegrees = (d, np.bincount(m, minlength=n), w, c, m, b, x)
+        g._codegrees = (d, np.bincount(m, minlength=n), w, c, m, b, x, pairs)
         for a in g._codegrees:
             a.flags.writeable = False
     return g._codegrees
@@ -189,6 +190,28 @@ def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
     return SimplicialComplex(n, tuple(layer[alive[layer].all(1)] for layer in c.faces), c.max_dim)
 
 
+def _tree_counts(g: Graph, n: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(path, star, spider) counts of each trial of a batch, by `tree_counts_order5`'s forms.
+
+    Each term is a sum over the vertices, the edge keys or the pair keys,
+    and each of those arrays is sorted, so a trial's terms are one
+    contiguous segment of it (docs/decisions.md, section 16).
+    """
+    d, s, w, t, *_, pairs = _codegrees(g)
+    p, dm = s - d, np.repeat(d, d)  # dm: the degree of m on each ordered edge m-b
+    vertex = np.arange(trials + 1) * n
+    edge = np.searchsorted(g.edge_keys, vertex * g.vertex_count)
+    pair = np.searchsorted(pairs, vertex * g.vertex_count)
+    path2 = (
+        _segment_sums(p * p - d * (d - 1) ** 2 + d * (d - 1), vertex)
+        - _segment_sums(w * (w - 1), pair)
+        - _segment_sums(2 * t * (dm - 1) - t, edge)
+    )
+    star = _segment_sums(d * (d - 1) * (d - 2) * (d - 3) // 24, vertex)
+    spider = _segment_sums((d - 1) * (d - 2) // 2 * p, vertex) - _segment_sums(t * (dm - 2), edge)
+    return path2 // 2, star, spider
+
+
 def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
     """Non-induced (path, star, spider) counts, in `tree_patterns_order5` order.
 
@@ -203,17 +226,32 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
 
     Sums over b ~ m run over the ordered edges (docs/decisions.md, sections 1, 11).
     """
-    d, s, w, t, *_ = _codegrees(g)
-    p, dm = s - d, np.repeat(d, d)  # dm: the degree of m on each ordered edge m-b
-    path2 = p @ p - d @ (d - 1) ** 2 - (w @ (w - 1) - d @ (d - 1)) - 2 * t @ (dm - 1) + t.sum()
-    star = (d * (d - 1) * (d - 2) * (d - 3) // 24).sum()
-    spider = ((d - 1) * (d - 2) // 2) @ p - t @ (dm - 2)
-    return int(path2) // 2, int(star), int(spider)
+    return tuple(int(a[0]) for a in _tree_counts(g, g.vertex_count, 1))
 
 
 # ---------------------------------------------------------------------------
 # Geometric census: empty simplices
 # ---------------------------------------------------------------------------
+
+
+def _empty_simplex_counts(
+    c: SimplicialComplex, g: Graph, k: int, n: int, trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, S_iso) of each trial of a batch, each candidate counted by the trial of its first vertex."""
+    if not 2 <= k <= c.max_dim + 1:
+        raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
+    _require_graph_of(c, g)
+    comp = components(g)
+    if k == 2:
+        lonely = _by_trial(np.flatnonzero(comp.size == 1), n, trials)
+        edges = _by_trial(g.edge_keys // max(g.vertex_count, 1), n, trials) // 2
+        return n * (n - 1) // 2 - edges, lonely * (lonely - 1) // 2
+    big, cand = g.vertex_count, cliques_of_order(g, k)
+    keys = _face_keys(c.faces, big, k)
+    is_face = _face_rows(keys, big, cand)[1]
+    empty = cand[_face_rows(keys[:-1], big, _deletions(cand))[1].all(axis=1) & ~is_face, 0]
+    isolated = empty[comp.size[comp.label[empty]] == k]
+    return _by_trial(empty, n, trials), _by_trial(isolated, n, trials)
 
 
 def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, int]:
@@ -226,19 +264,8 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     the pairs of isolated vertices. A graph of another vertex count raises
     ValueError.
     """
-    if not 2 <= k <= c.max_dim + 1:
-        raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
-    _require_graph_of(c, g)
-    comp = components(g)
-    if k == 2:
-        n, lonely = g.vertex_count, int(np.count_nonzero(comp.size == 1))
-        return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
-    n, cand = g.vertex_count, cliques_of_order(g, k)
-    keys = _face_keys(c.faces, n, k)
-    is_face = _face_rows(keys, n, cand)[1]
-    empty = _face_rows(keys[:-1], n, _deletions(cand))[1].all(axis=1) & ~is_face
-    isolated = comp.size[comp.label[cand[empty, 0]]] == k
-    return int(np.count_nonzero(empty)), int(np.count_nonzero(isolated))
+    s, s_iso = _empty_simplex_counts(c, g, k, g.vertex_count, 1)
+    return int(s[0]), int(s_iso[0])
 
 
 def _cech_counts(pts: PointCloud, r: float, k: int, g: Graph | None) -> tuple[int, int]:
@@ -305,6 +332,47 @@ def z_count(g: Graph, k: int) -> int:
 _MAX_PAIRS = MAX_KEYED_VERTICES  # pair-graph keys p*N + q stay below N^2 <= 2^63 - 1
 
 
+def _cross_polytope_counts(g: Graph, k: int, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(o_k, o~_k) of each trial of a batch, as `cross_polytope_counts` counts them.
+
+    A clique of the pair graph counts for the trial of its first pair's
+    vertex m, a component for the trial of its label (docs/decisions.md,
+    section 16).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    big, keys = g.vertex_count, g.edge_keys
+    d, *_, m, b, x, _ = _codegrees(g)
+    upper = m < x
+    mx = m[upper] * big + x[upper]
+    order = np.argsort(mx, kind="stable")  # the middles of one pair stay ascending
+    mx, b = mx[order], b[upper][order]
+    head = np.flatnonzero(np.diff(mx, prepend=-1))  # one run of wedges per pair
+    size = np.diff(head, append=len(mx))
+    # a pair of an O_k is non-adjacent, with the other 2k vertices as common neighbours
+    keep = (size >= 2 * k) & (keys.take(np.searchsorted(keys, mx[head]), mode="clip") != mx[head])
+    wide = np.repeat(keep, size)
+    mx, b, size = mx[wide], b[wide], size[keep]
+    pairs = mx[np.cumsum(size) - size]
+    if len(pairs) > _MAX_PAIRS:
+        raise ValueError(f"the pair graph of a graph on n={big} vertices needs keys beyond int64")
+    # the middles b1 < b2 of one run: wedge i meets the `later` wedges after it in its run
+    later = np.repeat(np.cumsum(size), size) - np.arange(len(mx)) - 1
+    i = np.repeat(np.arange(len(mx)), later)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
+    q = b[i] * big + b[j]
+    pos = np.searchsorted(pairs, q)
+    # {b1, b2} in P is non-adjacent, so m-b1-x-b2 is induced; the larger diagonal skips it
+    found = (pairs.take(pos, mode="clip") == q) & (mx[i] < q)
+    run = np.repeat(np.arange(len(pairs)), size)
+    p = Graph.from_edges(len(pairs), np.column_stack((run[i[found]], pos[found])))
+    comp = components(g)
+    whole = comp.size == 2 * k + 2
+    regular = np.bincount(comp.label[d == 2 * k], minlength=big) == 2 * k + 2
+    first = pairs[cliques_of_order(p, k + 1)[:, 0]] // max(big, 1)
+    return _by_trial(first, n, trials), _by_trial(np.flatnonzero(whole & regular), n, trials)
+
+
 def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
     """(o_k, o~_k): induced copies and whole components of the O_k 1-skeleton.
 
@@ -316,37 +384,20 @@ def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
     {m, x} that has the smaller key. o~_k counts the components on 2k+2
     vertices that have degree 2k each (docs/decisions.md, section 12).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n, keys = g.vertex_count, g.edge_keys
-    d, *_, m, b, x = _codegrees(g)
-    upper = m < x
-    mx = m[upper] * n + x[upper]
-    order = np.argsort(mx, kind="stable")  # the middles of one pair stay ascending
-    mx, b = mx[order], b[upper][order]
-    head = np.flatnonzero(np.diff(mx, prepend=-1))  # one run of wedges per pair
-    size = np.diff(head, append=len(mx))
-    # a pair of an O_k is non-adjacent, with the other 2k vertices as common neighbours
-    keep = (size >= 2 * k) & (keys.take(np.searchsorted(keys, mx[head]), mode="clip") != mx[head])
-    wide = np.repeat(keep, size)
-    mx, b, size = mx[wide], b[wide], size[keep]
-    pairs = mx[np.cumsum(size) - size]
-    if len(pairs) > _MAX_PAIRS:
-        raise ValueError(f"the pair graph of a graph on n={n} vertices needs keys beyond int64")
-    # the middles b1 < b2 of one run: wedge i meets the `later` wedges after it in its run
-    later = np.repeat(np.cumsum(size), size) - np.arange(len(mx)) - 1
-    i = np.repeat(np.arange(len(mx)), later)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
-    q = b[i] * n + b[j]
-    pos = np.searchsorted(pairs, q)
-    # {b1, b2} in P is non-adjacent, so m-b1-x-b2 is induced; the larger diagonal skips it
-    found = (pairs.take(pos, mode="clip") == q) & (mx[i] < q)
-    run = np.repeat(np.arange(len(pairs)), size)
-    p = Graph.from_edges(len(pairs), np.column_stack((run[i[found]], pos[found])))
+    o, o_comp = _cross_polytope_counts(g, k, g.vertex_count, 1)
+    return int(o[0]), int(o_comp[0])
+
+
+def _faces_on_large_components(
+    c: SimplicialComplex, g: Graph, k: int, i: int, n: int, trials: int
+) -> np.ndarray:
+    """`faces_on_large_components` of each trial of a batch, by the trial of each face's first vertex."""
+    if not 0 <= k <= c.max_dim:
+        raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
+    _require_graph_of(c, g)
     comp = components(g)
-    whole = comp.size == 2 * k + 2
-    regular = np.bincount(comp.label[d == 2 * k], minlength=n) == 2 * k + 2
-    return len(cliques_of_order(p, k + 1)), int(np.count_nonzero(whole & regular))
+    first = c.faces[k][:, 0]
+    return _by_trial(first[comp.size[comp.label[first]] >= i], n, trials)
 
 
 def faces_on_large_components(
@@ -358,12 +409,7 @@ def faces_on_large_components(
     read of the per-vertex component sizes at the first column of the faces.
     A graph of another vertex count raises ValueError.
     """
-    if not 0 <= k <= c.max_dim:
-        raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
-    _require_graph_of(c, g)
-    comp = components(g)
-    size = comp.size[comp.label]
-    return int(np.count_nonzero(size[c.faces[k][:, 0]] >= i))
+    return int(_faces_on_large_components(c, g, k, i, g.vertex_count, 1)[0])
 
 
 # ---------------------------------------------------------------------------

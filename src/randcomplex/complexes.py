@@ -294,6 +294,47 @@ def components(g: Graph) -> ComponentDecomposition:
     return g._components
 
 
+def _disjoint_union(graphs: list[Graph]) -> Graph:
+    """One graph of graphs on n vertices each: vertex v of graph t becomes t*n + v.
+
+    Graph t's key u*n + v becomes (tn + u)*N + tn + v, N = T*n. Each graph's
+    keys stay sorted and all lie below graph t+1's, so the concatenation
+    is sorted with no sort; one `np.diff` pass checks it. A batch of one is
+    its graph (docs/decisions.md, section 16).
+    """
+    if len(graphs) == 1:
+        return graphs[0]
+    n = graphs[0].vertex_count
+    big = len(graphs) * n
+    if big > MAX_KEYED_VERTICES or any(g.vertex_count != n for g in graphs):
+        raise ValueError(f"no keyed union of {len(graphs)} graphs on {n} vertices")
+    keys = np.concatenate([g.edge_keys for g in graphs])
+    shift = np.repeat(np.arange(len(graphs)) * n, [len(g.edge_keys) for g in graphs])
+    u, v = np.divmod(keys, max(n, 1))
+    keys = (u + shift) * big + v + shift
+    if np.any(np.diff(keys) <= 0):
+        raise ValueError("the union's edge keys are not increasing")
+    keys.flags.writeable = False
+    return Graph(big, edge_keys=keys)
+
+
+def _by_trial(vertex: np.ndarray, n: int, trials: int) -> np.ndarray:
+    """How many of the given vertices of a batch fall in each trial: vertex t*n + v is in trial t."""
+    return np.bincount(vertex // max(n, 1), minlength=trials)
+
+
+def _face_counts(c: SimplicialComplex, n: int, trials: int) -> list[tuple[int, ...]]:
+    """The f-vector of each trial of a batch, each face counted by the trial of its first vertex."""
+    return list(zip(*(_by_trial(layer[:, 0], n, trials).tolist() for layer in c.faces)))
+
+
+def _segment_sums(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """The int64 sums of values[cuts[t]:cuts[t+1]], by `np.add.reduceat`, empty segments 0."""
+    sums = np.add.reduceat(np.append(values, 0).astype(np.int64, copy=False), cuts[:-1])
+    sums[cuts[:-1] == cuts[1:]] = 0
+    return sums
+
+
 def f_vector(c: SimplicialComplex) -> tuple[int, ...]:
     """Number of i-faces for i = 0..max_dim (trailing zeros included)."""
     return tuple(len(c.faces[i]) for i in range(c.max_dim + 1))

@@ -1,8 +1,9 @@
 """Monte Carlo harness: seeded regime trials, aggregates, and limit distances.
 
-Trial t of an experiment always draws from RngStream(master_seed, t), and
-aggregation is an ordered fold over trial index, so results are identical
-for any worker count and any completion order. Integer statistics are
+Trial t of an experiment always draws from RngStream(master_seed, t), its
+counts are its own in whatever batch of trials it runs, and aggregation is
+an ordered fold over trial index, so results are identical for any worker
+count and any completion order. Integer statistics are
 summed exactly; floating point enters only in derived means and distances.
 """
 
@@ -18,18 +19,18 @@ import numpy as np
 
 from . import __version__
 from .census import (
-    cross_polytope_counts,
-    empty_simplex_counts,
+    MuEstimate,
+    _cross_polytope_counts,
+    _empty_simplex_counts,
+    _faces_on_large_components,
+    _tree_counts,
     er_expected_faces,
     estimate_mu,
-    faces_on_large_components,
     strong_collapse_core,
-    tree_counts_order5,
     y_count,
     z_count,
-    MuEstimate,
 )
-from .complexes import components, f_vector
+from .complexes import Graph, PointCloud, _by_trial, _disjoint_union, _face_counts, components
 from .generators import (
     DENSITY_KINDS,
     DensitySpec,
@@ -40,7 +41,7 @@ from .generators import (
     geometric_graph,
     sample_points,
 )
-from .homology import DEFAULT_PRIME, betti_numbers, euler_characteristic, require_prime_field
+from .homology import DEFAULT_PRIME, _betti_vector, _ranks, require_prime_field
 
 MODELS = ("er_clique", "cech", "rips")
 
@@ -169,8 +170,13 @@ class RegimeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial pipeline
+# The trial pipeline, on batches of trials
 # ---------------------------------------------------------------------------
+
+
+# Vertices plus edges that the graphs of one batch hold at most (docs/decisions.md, section 16)
+_BATCH_BUDGET = 4096
+_KEY_BOUND = 2**63  # every face key f_d * N of a batch's union stays below it
 
 
 def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
@@ -180,52 +186,73 @@ def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
             raise AssertionError(f"Morse violation at degree {k}: {lower} <= {b} <= {f[k]}")
 
 
-def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
-    """Build one instance of the regime, take its census, check the bounds and
-    return the census row.
-
-    This is the whole trial pipeline: trial t of an experiment is
-    `instance_census(spec, RngStream(master_seed, t))`, and its CSV row is
-    this row minus `euler` and `f_k_ge_1`. The row holds f_i, betti_i and
-    `euler`, then S_k, S_iso_k, Y_k, Z_k (Cech) or o_k, o_comp_k, f_k_ge_1,
-    f_k_ge_{2k+3} (Rips), then t1-t3 (Rips k=1). `euler` is None unless the
-    built complex is provably full-dimensional (its top face layer is
-    empty, so no face exists above the cap). A Rips trial takes its Betti
-    numbers from what one array round of strong collapses leaves of its
-    flag complex, which has the same ones; f and every check and count
-    below read the full complex (docs/decisions.md, section 15). Raises
-    AssertionError when beta_0 (min-label propagation and a union-find over
-    the edge rows) differs from the component count of g (hooking and
-    pointer jumping over its edge keys), or when the Morse inequalities,
-    the Cech or Rips sandwich, the tree bound (Rips k=1), S_iso <= S,
-    o_comp <= o or f_k_ge_{2k+3} <= f_k fail.
-    """
-    k = spec.k
-    top = k - 2 if spec.model == "cech" else k  # highest Betti degree computed
+def _instance(spec: RegimeSpec, rng: RngStream) -> tuple[Graph, PointCloud | None]:
+    """The graph of one trial, with its points for the geometric models."""
     if spec.model == "er_clique":
-        g = gen_er_graph(spec.n, spec.resolve_p(), rng)
+        return gen_er_graph(spec.n, spec.resolve_p(), rng), None
+    pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
+    return geometric_graph(pts, spec.resolve_r()), pts
+
+
+def _batch_counts(spec: RegimeSpec, instances: list) -> dict[str, list] | None:
+    """The census counts of each trial of a batch, as one disjoint union.
+
+    Trial i of the batch is vertices i*n..(i+1)*n - 1 of the union, and
+    every count is the list of its trials' values (docs/decisions.md,
+    section 16). None when a face key f_d * N of the union's clique layers
+    below the top would reach `_KEY_BOUND`, which never holds for one trial.
+    """
+    n, trials, k, model = spec.n, len(instances), spec.k, spec.model
+    top = k - 2 if model == "cech" else k  # highest Betti degree computed
+    g = _disjoint_union([graph for graph, _ in instances])
+    c = clique_complex(g, k - 1 if model == "cech" else k + 1)
+    if trials > 1 and max(map(len, c.faces[:-1])) * g.vertex_count >= _KEY_BOUND:
+        return None
+    if model == "cech":
+        pts = PointCloud(spec.d, np.concatenate([pts.points for _, pts in instances]))
+        c = cech_complex(pts, spec.resolve_r(), k - 1, graph=g)
+    core = strong_collapse_core(c, g) if model == "rips" else c
+
+    counts = {
+        "f": _face_counts(c, n, trials),
+        "ranks": _ranks(core, top + 1, spec.field_prime, n, trials),
+        "components": _by_trial(np.flatnonzero(components(g).size), n, trials).tolist(),
+    }
+    if model == "cech":
+        columns = _empty_simplex_counts(c, g, k, n, trials)
+        names = (f"S_{k}", f"S_iso_{k}")
+        # Y and Z are counted on each trial's own graph, through the names that
+        # perfbench/selftest.py corrupts to check that the benchmark sees wrong rows
+        counts[f"Y_{k}"] = [y_count(graph, k) for graph, _ in instances]
+        counts[f"Z_{k}"] = [z_count(graph, k) for graph, _ in instances]
+    elif model == "rips":
+        columns = (
+            *_cross_polytope_counts(g, k, n, trials),
+            _faces_on_large_components(c, g, k, 2 * k + 3, n, trials),
+            *(_tree_counts(g, n, trials) if k == 1 else ()),
+        )
+        names = (f"o_{k}", f"o_comp_{k}", f"f_{k}_ge_{2 * k + 3}", "t1", "t2", "t3")
     else:
-        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
-        r = spec.resolve_r()
-        g = geometric_graph(pts, r)
-    if spec.model == "cech":
-        c = cech_complex(pts, r, k - 1, graph=g)
-    else:
-        c = clique_complex(g, k + 1)
-    f = f_vector(c)
-    core = strong_collapse_core(c, g) if spec.model == "rips" else c
-    betti = betti_numbers(core, top, spec.field_prime).betti
-    comp_count = components(g).count
+        columns, names = (), ()
+    counts.update((name, column.tolist()) for name, column in zip(names, columns))
+    return counts
+
+
+def _census_row(spec: RegimeSpec, counts: dict[str, list], i: int) -> dict[str, int | None]:
+    """The census row of trial i of a batch, after that trial's checks, in their order."""
+    k = spec.k
+    f = counts["f"][i]
+    betti = _betti_vector(*counts["ranks"][i], spec.field_prime).betti  # or RuntimeError
+    comp_count = counts["components"][i]
     if betti[0] != comp_count:
         raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")
     _assert_morse(f, betti)
-    row: dict[str, int | None] = {f"f_{i}": v for i, v in enumerate(f)}
-    row.update({f"betti_{i}": v for i, v in enumerate(betti)})
-    row["euler"] = euler_characteristic(c) if f[-1] == 0 else None
+    row: dict[str, int | None] = {f"f_{d}": v for d, v in enumerate(f)}
+    row.update({f"betti_{d}": v for d, v in enumerate(betti)})
+    row["euler"] = sum((-1) ** d * v for d, v in enumerate(f)) if f[-1] == 0 else None
+    top = len(betti) - 1
     if spec.model == "cech":
-        s, s_iso = empty_simplex_counts(c, g, k)
-        y = y_count(g, k)
-        z = z_count(g, k)
+        s, s_iso, y, z = (counts[name][i] for name in (f"S_{k}", f"S_iso_{k}", f"Y_{k}", f"Z_{k}"))
         if not s_iso <= betti[top] <= s + y + z:
             raise AssertionError(
                 f"Cech sandwich violation: {s_iso} <= beta_{top}={betti[top]} <= {s}+{y}+{z}"
@@ -234,8 +261,8 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
             raise AssertionError(f"census inconsistency: S_iso_{k}={s_iso} exceeds S_{k}={s}")
         row.update({f"S_{k}": s, f"S_iso_{k}": s_iso, f"Y_{k}": y, f"Z_{k}": z})
     elif spec.model == "rips":
-        o_ind, o_comp = cross_polytope_counts(g, k)
-        fge = faces_on_large_components(c, g, k, 2 * k + 3)
+        o_ind, o_comp = counts[f"o_{k}"][i], counts[f"o_comp_{k}"][i]
+        fge = counts[f"f_{k}_ge_{2 * k + 3}"][i]
         if not o_comp <= betti[k] <= o_comp + fge:
             raise AssertionError(
                 f"Rips sandwich violation: {o_comp} <= beta_{k}={betti[k]} <= {o_comp}+{fge}"
@@ -249,7 +276,7 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
         row.update({f"o_{k}": o_ind, f"o_comp_{k}": o_comp,
                     f"f_{k}_ge_1": f[k], f"f_{k}_ge_{2 * k + 3}": fge})
         if k == 1:
-            t1, t2, t3 = tree_counts_order5(g)
+            t1, t2, t3 = (counts[name][i] for name in ("t1", "t2", "t3"))
             if fge > 4 * (t1 + t2 + t3):
                 raise AssertionError(
                     f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"
@@ -258,24 +285,75 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
     return row
 
 
-def _run_trial(args: tuple[RegimeSpec, int, int]) -> dict[str, int]:
-    """Row of trial t: the census minus euler (not always defined) and f_k_ge_1 (= f_k)."""
-    spec, master_seed, t = args
-    try:
-        row = instance_census(spec, RngStream(master_seed, t))
-    except (AssertionError, RuntimeError) as exc:
-        flags = " ".join(
-            f"--{name} {value}"
-            for name, value in asdict(spec).items()
-            if value is not None and name != "field_prime"
+def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
+    """Build one instance of the regime, take its census, check the bounds and
+    return the census row.
+
+    This is the trial pipeline on a batch of one: trial t of an experiment
+    has the row `instance_census(spec, RngStream(master_seed, t))`, and its
+    CSV row is this row minus `euler` and `f_k_ge_1`, whatever batch it ran
+    in (docs/decisions.md, section 16). The row holds f_i, betti_i and
+    `euler`, then S_k, S_iso_k, Y_k, Z_k (Cech) or o_k, o_comp_k, f_k_ge_1,
+    f_k_ge_{2k+3} (Rips), then t1-t3 (Rips k=1). `euler` is None unless the
+    built complex is provably full-dimensional (its top face layer is
+    empty, so no face exists above the cap). A Rips trial takes its Betti
+    numbers from what one array round of strong collapses leaves of its
+    flag complex, which has the same ones; f and every check and count
+    below read the full complex (docs/decisions.md, section 15). Raises
+    RuntimeError on a negative Betti number, and AssertionError when beta_0
+    (min-label propagation and a union-find over the edge rows) differs
+    from the component count of g (hooking and pointer jumping over its
+    edge keys), or when the Morse inequalities, the Cech or Rips sandwich,
+    the tree bound (Rips k=1), S_iso <= S, o_comp <= o or
+    f_k_ge_{2k+3} <= f_k fail.
+    """
+    return _census_row(spec, _batch_counts(spec, [_instance(spec, rng)]), 0)
+
+
+def _batch_rows(spec: RegimeSpec, master_seed: int, batch: list) -> list[dict[str, int]]:
+    """CSV rows of a batch of consecutive (trial, instance) pairs, split in halves where
+    its union's keys do not fit. A failing check names its trial and the census
+    command that reproduces it."""
+    counts = _batch_counts(spec, [instance for _, instance in batch])
+    if counts is None:
+        mid = len(batch) // 2
+        return _batch_rows(spec, master_seed, batch[:mid]) + _batch_rows(
+            spec, master_seed, batch[mid:]
         )
-        raise type(exc)(
-            f"{exc} (master_seed={master_seed}, trial={t}); reproduce with: "
-            f"randcomplex census {flags} --seed {master_seed} --stream {t}"
-        ) from exc
-    return {
-        name: v for name, v in row.items() if name != "euler" and not name.endswith("_ge_1")
-    }
+    rows = []
+    for i, (t, _) in enumerate(batch):
+        try:
+            row = _census_row(spec, counts, i)
+        except (AssertionError, RuntimeError) as exc:
+            flags = " ".join(
+                f"--{name} {value}"
+                for name, value in asdict(spec).items()
+                if value is not None and name != "field_prime"
+            )
+            raise type(exc)(
+                f"{exc} (master_seed={master_seed}, trial={t}); reproduce with: "
+                f"randcomplex census {flags} --seed {master_seed} --stream {t}"
+            ) from exc
+        rows.append(
+            {name: v for name, v in row.items() if name != "euler" and not name.endswith("_ge_1")}
+        )
+    return rows
+
+
+def _run_trials(args: tuple[RegimeSpec, int, int, int]) -> list[dict[str, int]]:
+    """Rows of trials start..stop-1, in batches of the most consecutive trials whose
+    graphs hold at most `_BATCH_BUDGET` vertices and edges together, and at least one."""
+    spec, master_seed, start, stop = args
+    rows, batch, size = [], [], 0
+    for t in range(start, stop):
+        instance = _instance(spec, RngStream(master_seed, t))
+        weight = spec.n + instance[0].edge_count
+        if batch and size + weight > _BATCH_BUDGET:
+            rows += _batch_rows(spec, master_seed, batch)
+            batch, size = [], 0
+        batch.append((t, instance))
+        size += weight
+    return rows + _batch_rows(spec, master_seed, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +426,19 @@ def run_experiment(
 
     Trial t uses RngStream(master_seed, t); the per-trial rows, their exact
     integer sums, and all derived distances are independent of the worker
-    count.
+    count and of the batches the trials ran in. The trials run in chunks of
+    consecutive ones, one chunk per map task of a pool of at most one worker
+    per chunk, or as one chunk when workers is 1.
     """
     if trials < 1 or workers < 1:
         raise ValueError(f"trials and workers must be >= 1, got {trials} and {workers}")
-    args = [(spec, master_seed, t) for t in range(trials)]
     if workers == 1:
-        rows = [_run_trial(a) for a in args]
+        rows = _run_trials((spec, master_seed, 0, trials))
     else:
         chunk = max(1, trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, args, chunksize=chunk))
+        args = [(spec, master_seed, t, min(t + chunk, trials)) for t in range(0, trials, chunk)]
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+            rows = [row for part in pool.map(_run_trials, args) for row in part]
     columns = tuple(rows[0].keys())
     table = tuple(tuple(row[c] for c in columns) for row in rows)
     sums = {c: 0 for c in columns}

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _deletions, _face_keys, _face_rows, f_vector
+from .complexes import (
+    SimplicialComplex, _by_trial, _deletions, _face_counts, _face_keys, _face_rows, f_vector
+)
 
 DEFAULT_PRIME = 2147483629  # large prime below 2^31, the bound of require_prime_field
 
@@ -138,15 +140,17 @@ _LABEL_HANDOFF = 128  # split edges at or below which the union-find finishes
 _LABEL_ROUNDS = 16  # propagation rounds at most before the union-find finishes
 
 
-def _rank_d1(c: SimplicialComplex) -> int:
-    """rank d_1 = f_0 - #components, by min-label propagation and a union-find finish.
+def _rank_d1(c: SimplicialComplex, n: int, trials: int) -> np.ndarray:
+    """rank d_1 = f_0 - #components of each trial of a batch, by min-label propagation
+    and a union-find finish.
 
     Every label starts as its vertex, and each round both ends of every edge
     take the smaller label, with no pointer jumping. Once at most
     `_LABEL_HANDOFF` edges have ends of different labels, or after
     `_LABEL_ROUNDS` rounds, a path-halving union-find starts from the labels
-    as its forest and joins the label pairs of those edges. The rank is the
-    vertices that point elsewhere plus the joins (docs/decisions.md, section 5).
+    as its forest and joins the label pairs of those edges. The rank of a
+    trial is its vertices that point elsewhere plus its joins, each counted
+    by the trial of its vertex (docs/decisions.md, sections 5, 16).
     """
     lo, hi = c.faces[1].T
     label = np.arange(c.vertex_count)
@@ -157,8 +161,8 @@ def _rank_d1(c: SimplicialComplex) -> int:
         a, b = label[lo], label[hi]
         split = a != b
         a, b, rounds = a[split], b[split], rounds + 1
-    rank = int(np.count_nonzero(label != np.arange(c.vertex_count))) if rounds else 0
-    parent = label.tolist()
+    moved = np.flatnonzero(label != np.arange(c.vertex_count)) if rounds else label[:0]
+    parent, joins = label.tolist(), []
     for u, v in zip(a.tolist(), b.tolist()):
         while parent[u] != u:  # find with path halving
             parent[u] = parent[parent[u]]
@@ -168,8 +172,8 @@ def _rank_d1(c: SimplicialComplex) -> int:
             v = parent[v]
         if u != v:
             parent[u] = v
-            rank += 1
-    return rank
+            joins.append(u)
+    return _by_trial(moved, n, trials) + _by_trial(np.array(joins, dtype=np.int64), n, trials)
 
 
 def _rank_exact(bm: BoundaryMatrix) -> int:
@@ -223,13 +227,34 @@ def _resolve_up_to(c: SimplicialComplex, up_to: int | None) -> int:
     return up_to
 
 
-def _betti_vector(c: SimplicialComplex, q: int | None, ranks: list[int]) -> BettiVector:
+def _betti_vector(f: tuple[int, ...], ranks: list[int], q: int | None) -> BettiVector:
     """beta_k = f_k - rank d_k - rank d_{k+1} for k = 0..len(ranks) - 2."""
-    f = f_vector(c)
     betti = tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(len(ranks) - 1))
     if any(b < 0 for b in betti):
         raise RuntimeError(f"negative Betti number from ranks {ranks}")
     return BettiVector(q, betti, tuple(ranks))
+
+
+def _ranks(
+    c: SimplicialComplex, top: int, q: int, n: int, trials: int
+) -> list[tuple[tuple[int, ...], list[int]]]:
+    """The f-vector and the ranks of d_0..d_top over GF(q) of each trial of a batch.
+
+    d_top is reduced first and d_2 last. A column of d_k whose index is the
+    low of a pivot of d_{k+1} reduces to zero, so it is skipped (clearing).
+    A pivot counts for the trial of its low row's first vertex: the union
+    of a batch is block-diagonal, so each trial's pivots are its own
+    (docs/decisions.md, sections 5, 16).
+    """
+    ranks = np.zeros((trials, top + 1), dtype=np.int64)
+    keys = _face_keys(c.faces, c.vertex_count, top)
+    lows = ()
+    for k in range(top, 1, -1):
+        lows = _pivot_lows(_columns(_boundary(keys, c, k), q), q, lows)
+        low = np.fromiter(lows, dtype=np.int64, count=len(lows))
+        ranks[:, k] = _by_trial(c.faces[k - 1][low, 0], n, trials)
+    ranks[:, 1] = _rank_d1(c, n, trials)
+    return list(zip(_face_counts(c, n, trials), ranks.tolist()))
 
 
 def betti_numbers(
@@ -237,30 +262,22 @@ def betti_numbers(
 ) -> BettiVector:
     """Betti numbers beta_0..beta_{up_to} over GF(q) by boundary ranks.
 
-    d_{up_to+1} is reduced first and d_2 last. A column of d_k whose index
-    is the low of a pivot of d_{k+1} reduces to zero, so it is skipped
-    (clearing). rank d_1 comes from min-label propagation over the edges,
-    finished by a union-find, so beta_0 is their component count.
-    `experiments.instance_census` checks that count against the components
-    of the graph the complex was built from (docs/decisions.md, section 5).
+    The ranks are those of `_ranks` on a batch of one: clearing from
+    d_{up_to+1} down to d_2, and rank d_1 from min-label propagation over
+    the edges, finished by a union-find, so beta_0 is their component
+    count. A trial checks that count against the components of the graph
+    the complex was built from (docs/decisions.md, section 5).
     """
     require_prime_field(q)
     top = _resolve_up_to(c, up_to) + 1
-    ranks = [0] * (top + 1)
-    keys = _face_keys(c.faces, c.vertex_count, top)
-    lows = ()
-    for k in range(top, 1, -1):
-        lows = _pivot_lows(_columns(_boundary(keys, c, k), q), q, lows)
-        ranks[k] = len(lows)
-    ranks[1] = _rank_d1(c)
-    return _betti_vector(c, q, ranks)
+    return _betti_vector(*_ranks(c, top, q, c.vertex_count, 1)[0], q)
 
 
 def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> BettiVector:
     """Brute-force oracle: Betti numbers over Q by exact column reduction, with no prime."""
     top = _resolve_up_to(c, up_to) + 1
     ranks = [0] + [_rank_exact(boundary_matrix(c, k)) for k in range(1, top + 1)]
-    return _betti_vector(c, None, ranks)
+    return _betti_vector(f_vector(c), ranks, None)
 
 
 def check_field_independence(

@@ -16,9 +16,12 @@ import numpy as np
 
 from randcomplex import (
     ComponentDecomposition, DensitySpec, Graph, RegimeSpec, RngStream, SimplicialComplex,
-    canonical_form, cech_complex, clique_complex, gen_er_graph, geometric_graph, sample_points
+    betti_numbers, canonical_form, cech_complex, clique_complex, components,
+    cross_polytope_counts, empty_simplex_counts, euler_characteristic, f_vector,
+    faces_on_large_components, gen_er_graph, geometric_graph, sample_points, tree_counts_order5,
+    y_count, z_count
 )
-from randcomplex.census import MU_BLOCK_SIZE
+from randcomplex.census import MU_BLOCK_SIZE, strong_collapse_core
 from randcomplex.generators import cliques_of_order
 from randcomplex.homology import BoundaryMatrix
 from randcomplex.miniball import RADIUS_RTOL
@@ -945,3 +948,76 @@ def mu_hits_per_sample(k: int, d: int, samples: int, rng, rho: float = 1.0) -> i
         done += m
         block += 1
     return hits
+
+
+# ---------------------------------------------------------------------------
+# The trial pipeline one trial at a time
+# ---------------------------------------------------------------------------
+
+
+def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
+    for k, b in enumerate(betti):
+        lower = f[k] - (f[k - 1] if k >= 1 else 0) - f[k + 1]
+        if not lower <= b <= f[k]:
+            raise AssertionError(f"Morse violation at degree {k}: {lower} <= {b} <= {f[k]}")
+
+
+def instance_census_per_trial(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
+    """The census row of one trial by the public per-graph functions, with the same
+    checks: the row oracle of the batch pipeline (`experiments.instance_census`)."""
+    k = spec.k
+    top = k - 2 if spec.model == "cech" else k
+    if spec.model == "er_clique":
+        g = gen_er_graph(spec.n, spec.resolve_p(), rng)
+    else:
+        pts = sample_points(spec.n, DensitySpec(spec.density, spec.d), rng)
+        r = spec.resolve_r()
+        g = geometric_graph(pts, r)
+    if spec.model == "cech":
+        c = cech_complex(pts, r, k - 1, graph=g)
+    else:
+        c = clique_complex(g, k + 1)
+    f = f_vector(c)
+    core = strong_collapse_core(c, g) if spec.model == "rips" else c
+    betti = betti_numbers(core, top, spec.field_prime).betti
+    comp_count = components(g).count
+    if betti[0] != comp_count:
+        raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")
+    _assert_morse(f, betti)
+    row: dict[str, int | None] = {f"f_{i}": v for i, v in enumerate(f)}
+    row.update({f"betti_{i}": v for i, v in enumerate(betti)})
+    row["euler"] = euler_characteristic(c) if f[-1] == 0 else None
+    if spec.model == "cech":
+        s, s_iso = empty_simplex_counts(c, g, k)
+        y = y_count(g, k)
+        z = z_count(g, k)
+        if not s_iso <= betti[top] <= s + y + z:
+            raise AssertionError(
+                f"Cech sandwich violation: {s_iso} <= beta_{top}={betti[top]} <= {s}+{y}+{z}"
+            )
+        if s_iso > s:
+            raise AssertionError(f"census inconsistency: S_iso_{k}={s_iso} exceeds S_{k}={s}")
+        row.update({f"S_{k}": s, f"S_iso_{k}": s_iso, f"Y_{k}": y, f"Z_{k}": z})
+    elif spec.model == "rips":
+        o_ind, o_comp = cross_polytope_counts(g, k)
+        fge = faces_on_large_components(c, g, k, 2 * k + 3)
+        if not o_comp <= betti[k] <= o_comp + fge:
+            raise AssertionError(
+                f"Rips sandwich violation: {o_comp} <= beta_{k}={betti[k]} <= {o_comp}+{fge}"
+            )
+        if o_comp > o_ind:
+            raise AssertionError(f"census inconsistency: o_comp_{k}={o_comp} exceeds o_{k}={o_ind}")
+        if fge > f[k]:
+            raise AssertionError(
+                f"census inconsistency: f_{k}_ge_{2 * k + 3}={fge} exceeds f_{k}={f[k]}"
+            )
+        row.update({f"o_{k}": o_ind, f"o_comp_{k}": o_comp,
+                    f"f_{k}_ge_1": f[k], f"f_{k}_ge_{2 * k + 3}": fge})
+        if k == 1:
+            t1, t2, t3 = tree_counts_order5(g)
+            if fge > 4 * (t1 + t2 + t3):
+                raise AssertionError(
+                    f"tree bound violation: f_1_ge_5={fge} > 4*({t1}+{t2}+{t3})"
+                )
+            row.update(t1=t1, t2=t2, t3=t3)
+    return row

@@ -319,7 +319,7 @@ def test_pair_graph_keys_stay_inside_int64(monkeypatch):
 def test_codegrees_are_one_read_only_memo():
     g = ZOO["dense-rips-0"]
     memo = _codegrees(g)
-    assert _codegrees(g) is memo and len(memo) == 7
+    assert _codegrees(g) is memo and len(memo) == 8
     for a in memo:
         assert not a.flags.writeable
 

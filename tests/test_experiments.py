@@ -35,6 +35,7 @@ from randcomplex import census, miniball
 from randcomplex.experiments import density_power_integral
 
 from oracles import (
+    instance_census_per_trial,
     poisson_pmf_direct,
     tv_between_poissons,
     tv_to_poisson_full_tail,
@@ -393,12 +394,17 @@ def test_er_complete_regime():
 
 
 def test_experiment_determinism_across_workers():
-    spec = RegimeSpec(model="rips", k=1, n=120, d=2, alpha=1.0)
-    a = run_experiment(spec, 10, 99, workers=1)
-    b = run_experiment(spec, 10, 99, workers=4)
-    assert a.per_trial == b.per_trial
-    assert a.summary_json() == b.summary_json()
-    assert a.trials_csv() == b.trials_csv()
+    """One worker runs every trial in batches of several; more workers run chunks of fewer."""
+    for spec, trials in (
+        (RegimeSpec(model="rips", k=1, n=120, d=2, alpha=1.0), 10),
+        (RegimeSpec(model="rips", k=2, n=150, d=2, alpha=1.0), 40),
+    ):
+        a = run_experiment(spec, trials, 99, workers=1)
+        for workers in (2, 4):
+            b = run_experiment(spec, trials, 99, workers=workers)
+            assert a.per_trial == b.per_trial
+            assert a.summary_json() == b.summary_json()
+            assert a.trials_csv() == b.trials_csv()
 
 
 def test_experiment_rerun_is_bit_identical():
@@ -624,34 +630,36 @@ def test_trial_row_is_projected_instance_census(name):
 _UNION_FIND = homology._rank_d1
 
 
-def _s_iso_above_s(c, g, k):
+def _s_iso_above_s(c, g, k, n, trials):
     """S_iso as counted, and S one below it: the Cech sandwich still holds."""
-    _, s_iso = census.empty_simplex_counts(c, g, k)
+    _, s_iso = census._empty_simplex_counts(c, g, k, n, trials)
     return s_iso - 1, s_iso
 
 
-def _o_comp_above_o(g, k):
+def _o_comp_above_o(g, k, n, trials):
     """o_comp as counted, and o one below it: the Rips sandwich still holds."""
-    _, o_comp = census.cross_polytope_counts(g, k)
+    _, o_comp = census._cross_polytope_counts(g, k, n, trials)
     return o_comp - 1, o_comp
 
 
 @pytest.mark.parametrize(
     "name, counter, fake, message",
     [
-        ("er", "experiments.f_vector", lambda c: (0,) * (c.max_dim + 1), "Morse violation"),
+        ("er", "experiments._face_counts", lambda c, n, trials: [(0,) * (c.max_dim + 1)] * trials,
+         "Morse violation"),
         ("cech", "experiments.y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
-        ("rips-k1", "experiments.cross_polytope_counts", lambda g, k: (10**9, 10**9),
-         "Rips sandwich violation"),
-        ("rips-k1", "experiments.tree_counts_order5", lambda g: (0, 0, 0),
+        ("rips-k1", "experiments._cross_polytope_counts",
+         lambda g, k, n, trials: (np.full(trials, 10**9),) * 2, "Rips sandwich violation"),
+        ("rips-k1", "experiments._tree_counts", lambda g, n, trials: (np.zeros(trials, int),) * 3,
          "tree bound violation"),
-        ("rips-k2", "experiments.faces_on_large_components", lambda c, g, k, i: 10**9,
+        ("rips-k2", "experiments._faces_on_large_components",
+         lambda c, g, k, i, n, trials: np.full(trials, 10**9),
          "census inconsistency: f_2_ge_7=1000000000 exceeds f_2="),
-        ("cech", "experiments.empty_simplex_counts", _s_iso_above_s,
+        ("cech", "experiments._empty_simplex_counts", _s_iso_above_s,
          "census inconsistency: S_iso_3=0 exceeds S_3=-1"),
-        ("rips-k1", "experiments.cross_polytope_counts", _o_comp_above_o,
+        ("rips-k1", "experiments._cross_polytope_counts", _o_comp_above_o,
          "census inconsistency: o_comp_1=0 exceeds o_1=-1"),
-        ("er", "homology._rank_d1", lambda c: _UNION_FIND(c) - 1,
+        ("er", "homology._rank_d1", lambda c, n, trials: _UNION_FIND(c, n, trials) - 1,
          "beta_0=.* disagrees with component count"),
         ("cech", "experiments.components",
          lambda g: ComponentDecomposition(np.zeros(0, np.int64), np.zeros(0, np.int64)),
@@ -691,8 +699,8 @@ def test_violation_names_trial_and_reproducing_census(monkeypatch, capsys):
 
 
 def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
-    # ranks this large make a Betti number negative inside betti_numbers
-    monkeypatch.setattr(homology, "_pivot_lows", lambda cols, q, cleared: range(10**6))
+    # a million pivots with low row 0, a face of trial 0, make its Betti number negative
+    monkeypatch.setattr(homology, "_pivot_lows", lambda cols, q, cleared: [0] * 10**6)
     with pytest.raises(RuntimeError) as exc:
         run_experiment(PIPELINE_SPECS["rips-k2"], 2, 31)
     text = str(exc.value)
@@ -703,7 +711,8 @@ def test_runtime_error_names_trial_and_reproducing_census(monkeypatch):
 
 @pytest.mark.parametrize("name", ["cech", "rips-k1", "er", "rips-k2"])
 def test_trial_builds_each_structure_once(monkeypatch, name):
-    """One graph g with one component pass and one clique expansion; Rips adds one pair graph."""
+    """One graph g with one component pass and one clique expansion; Rips adds one pair graph.
+    A batch builds one graph per trial, then expands and decomposes their union once."""
     built, expanded, decomposed = [], [], []
     decomposition = ComponentDecomposition
     expand, from_edges = generators._clique_faces, Graph.from_edges
@@ -723,13 +732,25 @@ def test_trial_builds_each_structure_once(monkeypatch, name):
     monkeypatch.setattr("randcomplex.complexes.ComponentDecomposition", counted_decomposition)
     monkeypatch.setattr(generators, "_clique_faces", counted_expand)
     monkeypatch.setattr(Graph, "from_edges", staticmethod(counted_from_edges))
-    row = instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    spec = PIPELINE_SPECS[name]
+    row = instance_census(spec, RngStream(31, 0))
     # g first, then the pair graph of cross_polytope_counts; each expanded once, in that order
-    assert len(built) == (2 if PIPELINE_SPECS[name].model == "rips" else 1)
+    assert len(built) == (2 if spec.model == "rips" else 1)
     assert [id(e) for e in expanded] == [id(b) for b in built]
     assert len(decomposed) == 1
+    # a batch of five: five graphs, and one union that is expanded and decomposed once;
+    # Rips adds the union's pair graph, and Cech counts Y and Z on each trial's graph
+    built.clear(), expanded.clear(), decomposed.clear()
+    monkeypatch.setattr(experiments, "_BATCH_BUDGET", 10**12)
+    res = run_experiment(spec, 5, 31)
+    assert len(built) == (6 if spec.model == "rips" else 5)
+    assert expanded[0].vertex_count == 5 * spec.n
+    rest = built if spec.model == "cech" else built[5:]
+    assert [id(e) for e in expanded[1:]] == [id(b) for b in rest]
+    assert len(decomposed) == 1
     monkeypatch.undo()
-    assert row == instance_census(PIPELINE_SPECS[name], RngStream(31, 0))
+    assert row == instance_census(spec, RngStream(31, 0))
+    assert res.per_trial == run_experiment(spec, 5, 31).per_trial
 
 
 @pytest.mark.parametrize("name", sorted(PIPELINE_SPECS))
@@ -850,3 +871,132 @@ def test_cech_trial_tests_balls_only_inside_cech_complex(monkeypatch):
         assert in_trial == dict(sets)
         # sets of 3 up to k points: every layer the complex holds, none beyond
         assert sorted(sets) == list(range(3, spec.k + 1)) and all(sets.values())
+
+
+# ---------------------------------------------------------------------------
+# Trials in batches: one disjoint union per batch (docs/decisions.md, section 16)
+# ---------------------------------------------------------------------------
+
+
+DEGENERATE_SPECS = {
+    "er-n0": RegimeSpec(model="er_clique", k=1, n=0, p=0.5),
+    "er-n1": RegimeSpec(model="er_clique", k=1, n=1, p=1.0),
+    "er-p0": RegimeSpec(model="er_clique", k=2, n=12, p=0.0),
+    "er-p1": RegimeSpec(model="er_clique", k=2, n=7, p=1.0),
+    "rips-n0": RegimeSpec(model="rips", k=1, n=0, d=2, r=0.1),
+    "rips-n1": RegimeSpec(model="rips", k=2, n=1, d=2, r=0.1),
+    "cech-n0": RegimeSpec(model="cech", k=3, n=0, d=2, r=0.1),
+    "cech-n1": RegimeSpec(model="cech", k=3, n=1, d=2, r=0.1),
+}
+BATCH_SPECS = {
+    **PIPELINE_SPECS,
+    **{f"dense-{name}": spec for name, spec in DENSE_RIPS_SPECS.items()},
+    **DEGENERATE_SPECS,
+}
+
+
+def _batch_sizes(monkeypatch) -> list[int]:
+    """The number of trials of every batch that `_batch_counts` takes from now on."""
+    sizes = []
+    batch_counts = experiments._batch_counts
+
+    def counted(spec, instances):
+        sizes.append(len(instances))
+        return batch_counts(spec, instances)
+
+    monkeypatch.setattr(experiments, "_batch_counts", counted)
+    return sizes
+
+
+def _weight(spec: RegimeSpec, seed: int, t: int) -> int:
+    """The vertices plus edges of trial t's graph, which a batch budget counts."""
+    return spec.n + experiments._instance(spec, RngStream(seed, t))[0].edge_count
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPECS))
+def test_batched_rows_equal_the_per_trial_oracle(monkeypatch, name):
+    """Batches of one, of seven and of every trial give the oracle's rows, trial by trial."""
+    spec, trials, seed = BATCH_SPECS[name], 9, 17
+    oracle = [instance_census_per_trial(spec, RngStream(seed, t)) for t in range(trials)]
+    assert [instance_census(spec, RngStream(seed, t)) for t in range(trials)] == oracle
+    seven = sum(_weight(spec, seed, t) for t in range(7))
+    sizes = _batch_sizes(monkeypatch)
+    for budget, first in ((-1, 1), (seven, 7), (10**12, trials)):
+        sizes.clear()
+        monkeypatch.setattr(experiments, "_BATCH_BUDGET", budget)
+        res = run_experiment(spec, trials, seed)
+        assert sizes[0] == first or spec.n == 0  # an empty graph weighs nothing
+        assert sum(sizes) == trials
+        for t, row in enumerate(oracle):
+            projected = _trial_projection(row)
+            assert res.columns == tuple(projected), (t, budget)
+            assert res.per_trial[t] == tuple(projected.values()), (t, budget)
+
+
+def test_batch_past_the_key_bound_falls_back_by_halves(monkeypatch):
+    """A key bound that one trial meets and two do not splits every batch down to single trials."""
+    spec, trials, seed = PIPELINE_SPECS["rips-k2"], 6, 23
+    expected = run_experiment(spec, trials, seed)
+    widest = 0
+    for t in range(trials):
+        c = generators.clique_complex(experiments._instance(spec, RngStream(seed, t))[0], 3)
+        widest = max(widest, max(map(len, c.faces[:-1])) * spec.n)
+    sizes = _batch_sizes(monkeypatch)
+    monkeypatch.setattr(experiments, "_BATCH_BUDGET", 10**12)
+    monkeypatch.setattr(experiments, "_KEY_BOUND", widest + 1)
+    res = run_experiment(spec, trials, seed)
+    assert sizes == [6, 3, 1, 2, 1, 1, 3, 1, 2, 1, 1]  # each batch of two or more trials splits
+    assert res.trials_csv() == expected.trials_csv()
+    assert res.summary_json() == expected.summary_json()
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_pool_has_at_most_one_worker_per_chunk(monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _SerialPool)
+    spec = PIPELINE_SPECS["er"]
+    _SerialPool.sizes.clear()
+    res = run_experiment(spec, 3, 4, workers=5000)  # three chunks of one trial
+    assert _SerialPool.sizes == [3]
+    run_experiment(spec, 64, 4, workers=2)  # 16 chunks of four trials
+    assert _SerialPool.sizes == [3, 2]
+    assert res.trials_csv() == run_experiment(spec, 3, 4).trials_csv()
+
+
+def test_violation_in_a_batch_names_its_first_trial(monkeypatch, capsys):
+    """Trials 5 and 9 of a 12-trial batch fail the Cech sandwich; the error names trial 5,
+    and its census command rebuilds trial 5 alone and fails the same way."""
+    spec, seed = PIPELINE_SPECS["cech"], 31
+    marked = {experiments._instance(spec, RngStream(seed, t))[0] for t in (5, 9)}
+    y_count = experiments.y_count
+    broken = lambda g, k: -(10**9) if g in marked else y_count(g, k)  # noqa: E731
+    sizes = _batch_sizes(monkeypatch)
+    monkeypatch.setattr(experiments, "_BATCH_BUDGET", 10**12)
+    monkeypatch.setattr(experiments, "y_count", broken)
+    with pytest.raises(AssertionError, match="Cech sandwich violation") as exc:
+        run_experiment(spec, 12, seed)
+    assert sizes == [12]
+    text = str(exc.value)
+    assert "(master_seed=31, trial=5)" in text
+    argv = text.split("reproduce with: ", 1)[1].split()
+    assert argv[-4:] == ["--seed", "31", "--stream", "5"]
+    assert cli.main(argv[1:]) == 3
+    assert "Cech sandwich violation" in capsys.readouterr().err
+    assert cli.main(argv[1:-1] + ["9"]) == 3
+    assert cli.main(argv[1:-1] + ["4"]) == 0
