@@ -24,6 +24,11 @@ Conventions recorded here because the counts are only defined up to them:
   the pair graph; docs/decisions.md, section 11).
   `subgraph_counts` stays the general census: it counts the injective maps
   of each pattern into the graph by backtracking (docs/decisions.md, section 6).
+* Each pipeline counter has a private form that returns one int64 tally
+  per vertex, each object counted at a vertex it owns: a face or an S
+  candidate at its first vertex, an O_k at its first pair's m, a whole
+  O_k component at its label, a tree at its centre. The public counter
+  returns the sum (docs/decisions.md, section 16).
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .complexes import (
-    MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _by_trial, _deletions, _face_keys,
-    _face_rows, _segment_sums, components
+    MAX_KEYED_VERTICES, Graph, PointCloud, SimplicialComplex, _deletions, _face_keys, _face_rows,
+    components
 )
 from .generators import RngStream, cech_complex, cliques_of_order, geometric_graph
 from .miniball import RADIUS_RTOL, enclosing_radius
@@ -190,25 +195,24 @@ def strong_collapse_core(c: SimplicialComplex, g: Graph) -> SimplicialComplex:
     return SimplicialComplex(n, tuple(layer[alive[layer].all(1)] for layer in c.faces), c.max_dim)
 
 
-def _tree_counts(g: Graph, n: int, trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(path, star, spider) counts of each trial of a batch, by `tree_counts_order5`'s forms.
+def _tree_counts(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(path, star, spider) per-vertex tallies by `tree_counts_order5`'s forms, each tree at
+    its centre m.
 
-    Each term is a sum over the vertices, the edge keys or the pair keys,
-    and each of those arrays is sorted, so a trial's terms are one
-    contiguous segment of it (docs/decisions.md, section 16).
+    The sums over b ~ m and over x run over the edge keys m*n + b and the
+    pair keys m*n + x, so `np.add.at` at m sums each centre's terms. The
+    path term of one centre is even (docs/decisions.md, section 16).
     """
-    d, s, w, t, *_, pairs = _codegrees(g)
-    p, dm = s - d, np.repeat(d, d)  # dm: the degree of m on each ordered edge m-b
-    vertex = np.arange(trials + 1) * n
-    edge = np.searchsorted(g.edge_keys, vertex * g.vertex_count)
-    pair = np.searchsorted(pairs, vertex * g.vertex_count)
-    path2 = (
-        _segment_sums(p * p - d * (d - 1) ** 2 + d * (d - 1), vertex)
-        - _segment_sums(w * (w - 1), pair)
-        - _segment_sums(2 * t * (dm - 1) - t, edge)
-    )
-    star = _segment_sums(d * (d - 1) * (d - 2) * (d - 3) // 24, vertex)
-    spider = _segment_sums((d - 1) * (d - 2) // 2 * p, vertex) - _segment_sums(t * (dm - 2), edge)
+    n, (d, s, w, t, *_, pairs) = g.vertex_count, _codegrees(g)
+    m, b = np.divmod(g.edge_keys, max(n, 1))
+    p, e = s - d, d[b] - 1
+    tri, edge, pair = np.zeros((3, n), dtype=np.int64)
+    np.add.at(tri, m, t)
+    np.add.at(edge, m, e * (e + 2 * t))
+    np.add.at(pair, pairs // max(n, 1), w * (w - 1))
+    path2 = p * p - edge - pair + d * (d - 1) + tri
+    star = d * (d - 1) * (d - 2) * (d - 3) // 24
+    spider = (d - 1) * (d - 2) // 2 * p - (d - 2) * tri
     return path2 // 2, star, spider
 
 
@@ -226,7 +230,7 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
 
     Sums over b ~ m run over the ordered edges (docs/decisions.md, sections 1, 11).
     """
-    return tuple(int(a[0]) for a in _tree_counts(g, g.vertex_count, 1))
+    return tuple(int(a.sum()) for a in _tree_counts(g))
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +239,15 @@ def tree_counts_order5(g: Graph) -> tuple[int, int, int]:
 
 
 def _empty_simplex_counts(
-    c: SimplicialComplex, g: Graph, k: int, n: int, trials: int
+    c: SimplicialComplex, g: Graph, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(S, S_iso) of each trial of a batch, each candidate counted by the trial of its first vertex."""
-    if not 2 <= k <= c.max_dim + 1:
-        raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
-    _require_graph_of(c, g)
-    comp = components(g)
-    if k == 2:
-        lonely = _by_trial(np.flatnonzero(comp.size == 1), n, trials)
-        edges = _by_trial(g.edge_keys // max(g.vertex_count, 1), n, trials) // 2
-        return n * (n - 1) // 2 - edges, lonely * (lonely - 1) // 2
-    big, cand = g.vertex_count, cliques_of_order(g, k)
-    keys = _face_keys(c.faces, big, k)
-    is_face = _face_rows(keys, big, cand)[1]
-    empty = cand[_face_rows(keys[:-1], big, _deletions(cand))[1].all(axis=1) & ~is_face, 0]
+    """(S, S_iso) for k >= 3 as per-vertex tallies, each candidate at its first vertex."""
+    n, cand, comp = g.vertex_count, cliques_of_order(g, k), components(g)
+    keys = _face_keys(c.faces, n, k)
+    is_face = _face_rows(keys, n, cand)[1]
+    empty = cand[_face_rows(keys[:-1], n, _deletions(cand))[1].all(axis=1) & ~is_face, 0]
     isolated = empty[comp.size[comp.label[empty]] == k]
-    return _by_trial(empty, n, trials), _by_trial(isolated, n, trials)
+    return np.bincount(empty, minlength=n), np.bincount(isolated, minlength=n)
 
 
 def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, int]:
@@ -264,8 +260,13 @@ def empty_simplex_counts(c: SimplicialComplex, g: Graph, k: int) -> tuple[int, i
     the pairs of isolated vertices. A graph of another vertex count raises
     ValueError.
     """
-    s, s_iso = _empty_simplex_counts(c, g, k, g.vertex_count, 1)
-    return int(s[0]), int(s_iso[0])
+    if not 2 <= k <= c.max_dim + 1:
+        raise ValueError(f"k={k} outside 2..{c.max_dim + 1}")
+    _require_graph_of(c, g)
+    if k == 2:
+        n, lonely = g.vertex_count, int(np.count_nonzero(components(g).size == 1))
+        return n * (n - 1) // 2 - g.edge_count, lonely * (lonely - 1) // 2
+    return tuple(int(a.sum()) for a in _empty_simplex_counts(c, g, k))
 
 
 def _cech_counts(pts: PointCloud, r: float, k: int, g: Graph | None) -> tuple[int, int]:
@@ -332,19 +333,15 @@ def z_count(g: Graph, k: int) -> int:
 _MAX_PAIRS = MAX_KEYED_VERTICES  # pair-graph keys p*N + q stay below N^2 <= 2^63 - 1
 
 
-def _cross_polytope_counts(g: Graph, k: int, n: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
-    """(o_k, o~_k) of each trial of a batch, as `cross_polytope_counts` counts them.
-
-    A clique of the pair graph counts for the trial of its first pair's
-    vertex m, a component for the trial of its label (docs/decisions.md,
-    section 16).
-    """
+def _cross_polytope_counts(g: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(o_k, o~_k) per-vertex tallies, as `cross_polytope_counts` counts them: a clique of
+    the pair graph at its first pair's vertex m, a component at its label."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    big, keys = g.vertex_count, g.edge_keys
+    n, keys = g.vertex_count, g.edge_keys
     d, *_, m, b, x, _ = _codegrees(g)
     upper = m < x
-    mx = m[upper] * big + x[upper]
+    mx = m[upper] * n + x[upper]
     order = np.argsort(mx, kind="stable")  # the middles of one pair stay ascending
     mx, b = mx[order], b[upper][order]
     head = np.flatnonzero(np.diff(mx, prepend=-1))  # one run of wedges per pair
@@ -355,12 +352,12 @@ def _cross_polytope_counts(g: Graph, k: int, n: int, trials: int) -> tuple[np.nd
     mx, b, size = mx[wide], b[wide], size[keep]
     pairs = mx[np.cumsum(size) - size]
     if len(pairs) > _MAX_PAIRS:
-        raise ValueError(f"the pair graph of a graph on n={big} vertices needs keys beyond int64")
+        raise ValueError(f"the pair graph of a graph on n={n} vertices needs keys beyond int64")
     # the middles b1 < b2 of one run: wedge i meets the `later` wedges after it in its run
     later = np.repeat(np.cumsum(size), size) - np.arange(len(mx)) - 1
     i = np.repeat(np.arange(len(mx)), later)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(later) - later, later)
-    q = b[i] * big + b[j]
+    q = b[i] * n + b[j]
     pos = np.searchsorted(pairs, q)
     # {b1, b2} in P is non-adjacent, so m-b1-x-b2 is induced; the larger diagonal skips it
     found = (pairs.take(pos, mode="clip") == q) & (mx[i] < q)
@@ -368,9 +365,9 @@ def _cross_polytope_counts(g: Graph, k: int, n: int, trials: int) -> tuple[np.nd
     p = Graph.from_edges(len(pairs), np.column_stack((run[i[found]], pos[found])))
     comp = components(g)
     whole = comp.size == 2 * k + 2
-    regular = np.bincount(comp.label[d == 2 * k], minlength=big) == 2 * k + 2
-    first = pairs[cliques_of_order(p, k + 1)[:, 0]] // max(big, 1)
-    return _by_trial(first, n, trials), _by_trial(np.flatnonzero(whole & regular), n, trials)
+    regular = np.bincount(comp.label[d == 2 * k], minlength=n) == 2 * k + 2
+    first = pairs[cliques_of_order(p, k + 1)[:, 0]] // max(n, 1)
+    return np.bincount(first, minlength=n), (whole & regular).astype(np.int64)
 
 
 def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
@@ -384,20 +381,17 @@ def cross_polytope_counts(g: Graph, k: int) -> tuple[int, int]:
     {m, x} that has the smaller key. o~_k counts the components on 2k+2
     vertices that have degree 2k each (docs/decisions.md, section 12).
     """
-    o, o_comp = _cross_polytope_counts(g, k, g.vertex_count, 1)
-    return int(o[0]), int(o_comp[0])
+    return tuple(int(a.sum()) for a in _cross_polytope_counts(g, k))
 
 
-def _faces_on_large_components(
-    c: SimplicialComplex, g: Graph, k: int, i: int, n: int, trials: int
-) -> np.ndarray:
-    """`faces_on_large_components` of each trial of a batch, by the trial of each face's first vertex."""
+def _faces_on_large_components(c: SimplicialComplex, g: Graph, k: int, i: int) -> np.ndarray:
+    """`faces_on_large_components` as a per-vertex tally, each face at its first vertex."""
     if not 0 <= k <= c.max_dim:
         raise ValueError(f"k={k} outside built dimensions 0..{c.max_dim}")
     _require_graph_of(c, g)
     comp = components(g)
     first = c.faces[k][:, 0]
-    return _by_trial(first[comp.size[comp.label[first]] >= i], n, trials)
+    return np.bincount(first[comp.size[comp.label[first]] >= i], minlength=c.vertex_count)
 
 
 def faces_on_large_components(
@@ -409,7 +403,7 @@ def faces_on_large_components(
     read of the per-vertex component sizes at the first column of the faces.
     A graph of another vertex count raises ValueError.
     """
-    return int(_faces_on_large_components(c, g, k, i, g.vertex_count, 1)[0])
+    return int(_faces_on_large_components(c, g, k, i).sum())
 
 
 # ---------------------------------------------------------------------------

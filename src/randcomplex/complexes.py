@@ -318,21 +318,18 @@ def _disjoint_union(graphs: list[Graph]) -> Graph:
     return Graph(big, edge_keys=keys)
 
 
-def _by_trial(vertex: np.ndarray, n: int, trials: int) -> np.ndarray:
-    """How many of the given vertices of a batch fall in each trial: vertex t*n + v is in trial t."""
-    return np.bincount(vertex // max(n, 1), minlength=trials)
+def _fold(tally: np.ndarray, trials: int, n: int) -> np.ndarray:
+    """Sum a per-vertex tally (last axis) of `_disjoint_union` over each trial's n vertices.
+
+    The inverse of the union: vertex t*n + v is in trial t, so entry t of the
+    result is trial t's count (docs/decisions.md, section 16).
+    """
+    return tally.reshape(*tally.shape[:-1], trials, n).sum(-1)
 
 
-def _face_counts(c: SimplicialComplex, n: int, trials: int) -> list[tuple[int, ...]]:
-    """The f-vector of each trial of a batch, each face counted by the trial of its first vertex."""
-    return list(zip(*(_by_trial(layer[:, 0], n, trials).tolist() for layer in c.faces)))
-
-
-def _segment_sums(values: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The int64 sums of values[cuts[t]:cuts[t+1]], by `np.add.reduceat`, empty segments 0."""
-    sums = np.add.reduceat(np.append(values, 0).astype(np.int64, copy=False), cuts[:-1])
-    sums[cuts[:-1] == cuts[1:]] = 0
-    return sums
+def _face_tally(c: SimplicialComplex) -> np.ndarray:
+    """The (max_dim + 1, n) f-vector tally of c: the i-faces whose first vertex is v, at (i, v)."""
+    return np.array([np.bincount(layer[:, 0], minlength=c.vertex_count) for layer in c.faces])
 
 
 def f_vector(c: SimplicialComplex) -> tuple[int, ...]:

@@ -30,7 +30,7 @@ from .census import (
     y_count,
     z_count,
 )
-from .complexes import Graph, PointCloud, _by_trial, _disjoint_union, _face_counts, components
+from .complexes import Graph, PointCloud, _disjoint_union, _face_tally, _fold, components
 from .generators import (
     DENSITY_KINDS,
     DensitySpec,
@@ -176,7 +176,6 @@ class RegimeSpec:
 
 # Vertices plus edges that the graphs of one batch hold at most (docs/decisions.md, section 16)
 _BATCH_BUDGET = 4096
-_KEY_BOUND = 2**63  # every face key f_d * N of a batch's union stays below it
 
 
 def _assert_morse(f: tuple[int, ...], betti: tuple[int, ...]) -> None:
@@ -194,47 +193,45 @@ def _instance(spec: RegimeSpec, rng: RngStream) -> tuple[Graph, PointCloud | Non
     return geometric_graph(pts, spec.resolve_r()), pts
 
 
-def _batch_counts(spec: RegimeSpec, instances: list) -> dict[str, list] | None:
+def _batch_counts(spec: RegimeSpec, instances: list) -> dict[str, list]:
     """The census counts of each trial of a batch, as one disjoint union.
 
-    Trial i of the batch is vertices i*n..(i+1)*n - 1 of the union, and
-    every count is the list of its trials' values (docs/decisions.md,
-    section 16). None when a face key f_d * N of the union's clique layers
-    below the top would reach `_KEY_BOUND`, which never holds for one trial.
+    Every counter tallies the union per vertex, and `_fold` sums each tally
+    over every trial's vertices, so every count is the list of its trials'
+    values (docs/decisions.md, section 16).
     """
     n, trials, k, model = spec.n, len(instances), spec.k, spec.model
     top = k - 2 if model == "cech" else k  # highest Betti degree computed
     g = _disjoint_union([graph for graph, _ in instances])
-    c = clique_complex(g, k - 1 if model == "cech" else k + 1)
-    if trials > 1 and max(map(len, c.faces[:-1])) * g.vertex_count >= _KEY_BOUND:
-        return None
     if model == "cech":
         pts = PointCloud(spec.d, np.concatenate([pts.points for _, pts in instances]))
         c = cech_complex(pts, spec.resolve_r(), k - 1, graph=g)
+    else:
+        c = clique_complex(g, k + 1)
     core = strong_collapse_core(c, g) if model == "rips" else c
-
-    counts = {
-        "f": _face_counts(c, n, trials),
-        "ranks": _ranks(core, top + 1, spec.field_prime, n, trials),
-        "components": _by_trial(np.flatnonzero(components(g).size), n, trials).tolist(),
+    f = _face_tally(c)
+    tallies = {
+        "f": f,
+        "core_f": _face_tally(core) if model == "rips" else f,
+        "ranks": _ranks(core, top + 1, spec.field_prime),
+        "components": components(g).size > 0,
     }
     if model == "cech":
-        columns = _empty_simplex_counts(c, g, k, n, trials)
-        names = (f"S_{k}", f"S_iso_{k}")
+        tallies.update(zip((f"S_{k}", f"S_iso_{k}"), _empty_simplex_counts(c, g, k)))
+    elif model == "rips":
+        columns = (
+            *_cross_polytope_counts(g, k),
+            _faces_on_large_components(c, g, k, 2 * k + 3),
+            *(_tree_counts(g) if k == 1 else ()),
+        )
+        names = (f"o_{k}", f"o_comp_{k}", f"f_{k}_ge_{2 * k + 3}", "t1", "t2", "t3")
+        tallies.update(zip(names, columns))
+    counts = {name: _fold(tally, trials, n).T.tolist() for name, tally in tallies.items()}
+    if model == "cech":
         # Y and Z are counted on each trial's own graph, through the names that
         # perfbench/selftest.py corrupts to check that the benchmark sees wrong rows
         counts[f"Y_{k}"] = [y_count(graph, k) for graph, _ in instances]
         counts[f"Z_{k}"] = [z_count(graph, k) for graph, _ in instances]
-    elif model == "rips":
-        columns = (
-            *_cross_polytope_counts(g, k, n, trials),
-            _faces_on_large_components(c, g, k, 2 * k + 3, n, trials),
-            *(_tree_counts(g, n, trials) if k == 1 else ()),
-        )
-        names = (f"o_{k}", f"o_comp_{k}", f"f_{k}_ge_{2 * k + 3}", "t1", "t2", "t3")
-    else:
-        columns, names = (), ()
-    counts.update((name, column.tolist()) for name, column in zip(names, columns))
     return counts
 
 
@@ -242,7 +239,7 @@ def _census_row(spec: RegimeSpec, counts: dict[str, list], i: int) -> dict[str, 
     """The census row of trial i of a batch, after that trial's checks, in their order."""
     k = spec.k
     f = counts["f"][i]
-    betti = _betti_vector(*counts["ranks"][i], spec.field_prime).betti  # or RuntimeError
+    betti = _betti_vector(counts["core_f"][i], counts["ranks"][i], spec.field_prime).betti
     comp_count = counts["components"][i]
     if betti[0] != comp_count:
         raise AssertionError(f"beta_0={betti[0]} disagrees with component count {comp_count}")
@@ -289,10 +286,11 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
     """Build one instance of the regime, take its census, check the bounds and
     return the census row.
 
-    This is the trial pipeline on a batch of one: trial t of an experiment
-    has the row `instance_census(spec, RngStream(master_seed, t))`, and its
-    CSV row is this row minus `euler` and `f_k_ge_1`, whatever batch it ran
-    in (docs/decisions.md, section 16). The row holds f_i, betti_i and
+    This is the trial pipeline on a batch of one, whose per-vertex tallies
+    fold to one value each: trial t of an experiment has the row
+    `instance_census(spec, RngStream(master_seed, t))`, and its CSV row is
+    this row minus `euler` and `f_k_ge_1`, whatever batch it ran in
+    (docs/decisions.md, section 16). The row holds f_i, betti_i and
     `euler`, then S_k, S_iso_k, Y_k, Z_k (Cech) or o_k, o_comp_k, f_k_ge_1,
     f_k_ge_{2k+3} (Rips), then t1-t3 (Rips k=1). `euler` is None unless the
     built complex is provably full-dimensional (its top face layer is
@@ -311,15 +309,9 @@ def instance_census(spec: RegimeSpec, rng: RngStream) -> dict[str, int | None]:
 
 
 def _batch_rows(spec: RegimeSpec, master_seed: int, batch: list) -> list[dict[str, int]]:
-    """CSV rows of a batch of consecutive (trial, instance) pairs, split in halves where
-    its union's keys do not fit. A failing check names its trial and the census
-    command that reproduces it."""
+    """CSV rows of a batch of consecutive (trial, instance) pairs. A failing check names
+    its trial and the census command that reproduces it."""
     counts = _batch_counts(spec, [instance for _, instance in batch])
-    if counts is None:
-        mid = len(batch) // 2
-        return _batch_rows(spec, master_seed, batch[:mid]) + _batch_rows(
-            spec, master_seed, batch[mid:]
-        )
     rows = []
     for i, (t, _) in enumerate(batch):
         try:

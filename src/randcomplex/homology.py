@@ -8,7 +8,9 @@ pass detects. rank d_1 = f_0 - #components over every field, so
 finished by a union-find. It reduces d_2 and up with one sparse column
 reduction, from the top degree down, and skips the columns of d_k that are
 pivot rows of d_{k+1} (clearing). The rows of each boundary come from
-`searchsorted` on face keys, one per dimension.
+`searchsorted` on face keys, one per dimension. `_ranks` keeps each rank
+as a tally per vertex: a pivot at the first vertex of its low row, rank
+d_1 at the vertices whose labels moved and at the roots that joined.
 `betti_numbers_exact` reduces every degree, d_1 included, over Q on Python
 ints, dividing each column by the gcd of its entries (docs/decisions.md,
 section 5).
@@ -21,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    SimplicialComplex, _by_trial, _deletions, _face_counts, _face_keys, _face_rows, f_vector
-)
+from .complexes import SimplicialComplex, _deletions, _face_keys, _face_rows, f_vector
 
 DEFAULT_PRIME = 2147483629  # large prime below 2^31, the bound of require_prime_field
 
@@ -140,17 +140,17 @@ _LABEL_HANDOFF = 128  # split edges at or below which the union-find finishes
 _LABEL_ROUNDS = 16  # propagation rounds at most before the union-find finishes
 
 
-def _rank_d1(c: SimplicialComplex, n: int, trials: int) -> np.ndarray:
-    """rank d_1 = f_0 - #components of each trial of a batch, by min-label propagation
-    and a union-find finish.
+def _rank_d1(c: SimplicialComplex) -> np.ndarray:
+    """rank d_1 = f_0 - #components as a per-vertex tally, by min-label propagation and
+    a union-find finish.
 
     Every label starts as its vertex, and each round both ends of every edge
     take the smaller label, with no pointer jumping. Once at most
     `_LABEL_HANDOFF` edges have ends of different labels, or after
     `_LABEL_ROUNDS` rounds, a path-halving union-find starts from the labels
-    as its forest and joins the label pairs of those edges. The rank of a
-    trial is its vertices that point elsewhere plus its joins, each counted
-    by the trial of its vertex (docs/decisions.md, sections 5, 16).
+    as its forest and joins the label pairs of those edges. The rank is the
+    vertices that point elsewhere plus the joins: each is tallied at its
+    vertex, a join at the root it hooks (docs/decisions.md, sections 5, 16).
     """
     lo, hi = c.faces[1].T
     label = np.arange(c.vertex_count)
@@ -161,7 +161,6 @@ def _rank_d1(c: SimplicialComplex, n: int, trials: int) -> np.ndarray:
         a, b = label[lo], label[hi]
         split = a != b
         a, b, rounds = a[split], b[split], rounds + 1
-    moved = np.flatnonzero(label != np.arange(c.vertex_count)) if rounds else label[:0]
     parent, joins = label.tolist(), []
     for u, v in zip(a.tolist(), b.tolist()):
         while parent[u] != u:  # find with path halving
@@ -173,7 +172,8 @@ def _rank_d1(c: SimplicialComplex, n: int, trials: int) -> np.ndarray:
         if u != v:
             parent[u] = v
             joins.append(u)
-    return _by_trial(moved, n, trials) + _by_trial(np.array(joins, dtype=np.int64), n, trials)
+    moved = label != np.arange(c.vertex_count)
+    return moved + np.bincount(np.array(joins, dtype=np.int64), minlength=c.vertex_count)
 
 
 def _rank_exact(bm: BoundaryMatrix) -> int:
@@ -235,26 +235,23 @@ def _betti_vector(f: tuple[int, ...], ranks: list[int], q: int | None) -> BettiV
     return BettiVector(q, betti, tuple(ranks))
 
 
-def _ranks(
-    c: SimplicialComplex, top: int, q: int, n: int, trials: int
-) -> list[tuple[tuple[int, ...], list[int]]]:
-    """The f-vector and the ranks of d_0..d_top over GF(q) of each trial of a batch.
+def _ranks(c: SimplicialComplex, top: int, q: int) -> np.ndarray:
+    """The ranks of d_0..d_top over GF(q) as a (top + 1, n) per-vertex tally.
 
     d_top is reduced first and d_2 last. A column of d_k whose index is the
     low of a pivot of d_{k+1} reduces to zero, so it is skipped (clearing).
-    A pivot counts for the trial of its low row's first vertex: the union
-    of a batch is block-diagonal, so each trial's pivots are its own
-    (docs/decisions.md, sections 5, 16).
+    A pivot of d_k is tallied at the first vertex of its low row, and d_1
+    by `_rank_d1`; row 0 is zero (docs/decisions.md, sections 5, 16).
     """
-    ranks = np.zeros((trials, top + 1), dtype=np.int64)
+    ranks = np.zeros((top + 1, c.vertex_count), dtype=np.int64)
     keys = _face_keys(c.faces, c.vertex_count, top)
     lows = ()
     for k in range(top, 1, -1):
         lows = _pivot_lows(_columns(_boundary(keys, c, k), q), q, lows)
         low = np.fromiter(lows, dtype=np.int64, count=len(lows))
-        ranks[:, k] = _by_trial(c.faces[k - 1][low, 0], n, trials)
-    ranks[:, 1] = _rank_d1(c, n, trials)
-    return list(zip(_face_counts(c, n, trials), ranks.tolist()))
+        ranks[k] = np.bincount(c.faces[k - 1][low, 0], minlength=c.vertex_count)
+    ranks[1] = _rank_d1(c)
+    return ranks
 
 
 def betti_numbers(
@@ -262,7 +259,7 @@ def betti_numbers(
 ) -> BettiVector:
     """Betti numbers beta_0..beta_{up_to} over GF(q) by boundary ranks.
 
-    The ranks are those of `_ranks` on a batch of one: clearing from
+    The ranks are the sums of the `_ranks` tally: clearing from
     d_{up_to+1} down to d_2, and rank d_1 from min-label propagation over
     the edges, finished by a union-find, so beta_0 is their component
     count. A trial checks that count against the components of the graph
@@ -270,7 +267,7 @@ def betti_numbers(
     """
     require_prime_field(q)
     top = _resolve_up_to(c, up_to) + 1
-    return _betti_vector(*_ranks(c, top, q, c.vertex_count, 1)[0], q)
+    return _betti_vector(f_vector(c), _ranks(c, top, q).sum(1).tolist(), q)
 
 
 def betti_numbers_exact(c: SimplicialComplex, up_to: int | None = None) -> BettiVector:

@@ -403,13 +403,14 @@ def z_count_by_sets(g: Graph, k: int) -> int:
     return total
 
 
-def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
-    """(path, star, spider) by one Counter of w_x per centre m: the slow path of
-    `census.tree_counts_order5`, with the same closed forms (docs/decisions.md, section 1).
+def tree_tallies_by_centres(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(path2, star, spider) of each centre m, by one Counter of w_x per centre: the slow
+    path of `census._tree_counts`, with the same closed forms (docs/decisions.md, sections 1,
+    16). path2[m] is twice the paths centred at m.
     """
     adj = neighbor_rows(g)
     deg = [len(a) for a in adj]
-    path2 = star = spider = 0
+    path2, star, spider = ([0] * g.vertex_count for _ in range(3))
     for m, nm in enumerate(adj):
         dm = deg[m]
         if dm < 2:  # a centre of any of the three trees has degree >= 2
@@ -421,16 +422,23 @@ def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
         tri2 = sum(t)
         # sum_{x != m} w_x (w_x - 1), using w_m = d_m and sum_{x != m} w_x = p
         shared = sum(x * x for x in w.values()) - dm * dm - p
-        path2 += (
+        path2[m] = (
             p * p
             - sum(x * x for x in e)
             - shared
             - 2 * sum(map(operator.mul, t, e))
             + tri2
         )
-        star += math.comb(dm, 4)
-        spider += math.comb(dm - 1, 2) * p - (dm - 2) * tri2
-    return path2 // 2, star, spider
+        star[m] = math.comb(dm, 4)
+        spider[m] = math.comb(dm - 1, 2) * p - (dm - 2) * tri2
+    return path2, star, spider
+
+
+def tree_counts_by_centres(g: Graph) -> tuple[int, int, int]:
+    """(path, star, spider): the sums of `tree_tallies_by_centres`, the slow path of
+    `census.tree_counts_order5`."""
+    path2, star, spider = tree_tallies_by_centres(g)
+    return sum(path2) // 2, sum(star), sum(spider)
 
 
 def components_by_bfs(g: Graph) -> ComponentDecomposition:

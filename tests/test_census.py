@@ -63,6 +63,7 @@ from oracles import (
     mu_quadrature_k3,
     neighbor_sets,
     tree_counts_by_centres,
+    tree_tallies_by_centres,
     y_count_by_sets,
     z_count_by_sets,
 )
@@ -459,14 +460,18 @@ def test_tree_counts_match_subgraph_counts_on_rips_graphs():
 
 
 def test_tree_counts_match_centre_oracle():
-    # rips-k1-n500 graphs, where t1-t3 bound f_1^(>=5), and ER graphs up to p = 1
+    # rips-k1-n500 graphs, where t1-t3 bound f_1^(>=5), and ER graphs up to p = 1; the
+    # tallies hold each tree at its centre, where twice the paths is even and >= 0
     spec = RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0)
-    for g in _regime_graphs(spec, 337, 10):
-        assert tree_counts_order5(g) == tree_counts_by_centres(g)
+    graphs = list(_regime_graphs(spec, 337, 10))
     for j, p in enumerate((0.05, 0.2, 0.5, 1.0)):
-        for n in (30, 60):
-            g = gen_er_graph(n, p, RngStream(339, 10 * j + n))
-            assert tree_counts_order5(g) == tree_counts_by_centres(g)
+        graphs += [gen_er_graph(n, p, RngStream(339, 10 * j + n)) for n in (30, 60)]
+    for g in graphs:
+        assert tree_counts_order5(g) == tree_counts_by_centres(g)
+        path2, star, spider = tree_tallies_by_centres(g)
+        assert all(x % 2 == 0 and x >= 0 for x in path2)
+        tallies = [a.tolist() for a in census._tree_counts(g)]
+        assert tallies == [[x // 2 for x in path2], star, spider]
 
 
 @pytest.mark.parametrize("n", range(5, 10))

@@ -31,7 +31,7 @@ from randcomplex import (
     theorem_targets,
     tv_to_poisson,
 )
-from randcomplex import census, miniball
+from randcomplex import census, complexes, miniball
 from randcomplex.experiments import density_power_integral
 
 from oracles import (
@@ -627,42 +627,59 @@ def test_trial_row_is_projected_instance_census(name):
         assert tuple(row.values()) == res.per_trial[t]
 
 
-_UNION_FIND = homology._rank_d1
+_UNION_FIND, _RANKS = homology._rank_d1, homology._ranks
 
 
-def _s_iso_above_s(c, g, k, n, trials):
-    """S_iso as counted, and S one below it: the Cech sandwich still holds."""
-    _, s_iso = census._empty_simplex_counts(c, g, k, n, trials)
-    return s_iso - 1, s_iso
+def _trial_tally(vertex_count: int, name: str, value: int) -> np.ndarray:
+    """A per-vertex tally of a union of trials of PIPELINE_SPECS[name] that folds to
+    `value` in each trial: `value` at each trial's first vertex."""
+    tally = np.zeros(vertex_count, dtype=np.int64)
+    tally[:: PIPELINE_SPECS[name].n] = value
+    return tally
 
 
-def _o_comp_above_o(g, k, n, trials):
-    """o_comp as counted, and o one below it: the Rips sandwich still holds."""
-    _, o_comp = census._cross_polytope_counts(g, k, n, trials)
-    return o_comp - 1, o_comp
+def _top_rank_below_zero(c, top, q):
+    """The ranks as counted, with rank d_top a billion below zero in each trial: beta_{top-1}
+    exceeds f_{top-1}, a Morse violation, while every Betti number stays >= 0."""
+    ranks = _RANKS(c, top, q)
+    ranks[top] -= _trial_tally(c.vertex_count, "er", 10**9)
+    return ranks
+
+
+def _s_iso_above_s(c, g, k):
+    """S_iso as counted, and S one below it in each trial: the Cech sandwich still holds."""
+    _, s_iso = census._empty_simplex_counts(c, g, k)
+    return s_iso - _trial_tally(g.vertex_count, "cech", 1), s_iso
+
+
+def _o_comp_above_o(g, k):
+    """o_comp as counted, and o one below it in each trial: the Rips sandwich still holds."""
+    _, o_comp = census._cross_polytope_counts(g, k)
+    return o_comp - _trial_tally(g.vertex_count, "rips-k1", 1), o_comp
 
 
 @pytest.mark.parametrize(
     "name, counter, fake, message",
     [
-        ("er", "experiments._face_counts", lambda c, n, trials: [(0,) * (c.max_dim + 1)] * trials,
-         "Morse violation"),
+        ("er", "experiments._ranks", _top_rank_below_zero, "Morse violation"),
         ("cech", "experiments.y_count", lambda g, k: -(10**9), "Cech sandwich violation"),
         ("rips-k1", "experiments._cross_polytope_counts",
-         lambda g, k, n, trials: (np.full(trials, 10**9),) * 2, "Rips sandwich violation"),
-        ("rips-k1", "experiments._tree_counts", lambda g, n, trials: (np.zeros(trials, int),) * 3,
+         lambda g, k: (_trial_tally(g.vertex_count, "rips-k1", 10**9),) * 2,
+         "Rips sandwich violation"),
+        ("rips-k1", "experiments._tree_counts", lambda g: (np.zeros(g.vertex_count, int),) * 3,
          "tree bound violation"),
         ("rips-k2", "experiments._faces_on_large_components",
-         lambda c, g, k, i, n, trials: np.full(trials, 10**9),
+         lambda c, g, k, i: _trial_tally(c.vertex_count, "rips-k2", 10**9),
          "census inconsistency: f_2_ge_7=1000000000 exceeds f_2="),
         ("cech", "experiments._empty_simplex_counts", _s_iso_above_s,
          "census inconsistency: S_iso_3=0 exceeds S_3=-1"),
         ("rips-k1", "experiments._cross_polytope_counts", _o_comp_above_o,
          "census inconsistency: o_comp_1=0 exceeds o_1=-1"),
-        ("er", "homology._rank_d1", lambda c, n, trials: _UNION_FIND(c, n, trials) - 1,
+        ("er", "homology._rank_d1",
+         lambda c: _UNION_FIND(c) - _trial_tally(c.vertex_count, "er", 1),
          "beta_0=.* disagrees with component count"),
         ("cech", "experiments.components",
-         lambda g: ComponentDecomposition(np.zeros(0, np.int64), np.zeros(0, np.int64)),
+         lambda g: ComponentDecomposition(*np.zeros((2, g.vertex_count), np.int64)),
          "beta_0=.* disagrees with component count 0"),
     ],
     ids=["er-morse", "cech-sandwich", "rips-sandwich", "rips-tree-bound",
@@ -933,21 +950,67 @@ def test_batched_rows_equal_the_per_trial_oracle(monkeypatch, name):
             assert res.per_trial[t] == tuple(projected.values()), (t, budget)
 
 
-def test_batch_past_the_key_bound_falls_back_by_halves(monkeypatch):
-    """A key bound that one trial meets and two do not splits every batch down to single trials."""
-    spec, trials, seed = PIPELINE_SPECS["rips-k2"], 6, 23
-    expected = run_experiment(spec, trials, seed)
-    widest = 0
-    for t in range(trials):
-        c = generators.clique_complex(experiments._instance(spec, RngStream(seed, t))[0], 3)
-        widest = max(widest, max(map(len, c.faces[:-1])) * spec.n)
-    sizes = _batch_sizes(monkeypatch)
-    monkeypatch.setattr(experiments, "_BATCH_BUDGET", 10**12)
-    monkeypatch.setattr(experiments, "_KEY_BOUND", widest + 1)
-    res = run_experiment(spec, trials, seed)
-    assert sizes == [6, 3, 1, 2, 1, 1, 3, 1, 2, 1, 1]  # each batch of two or more trials splits
-    assert res.trials_csv() == expected.trials_csv()
-    assert res.summary_json() == expected.summary_json()
+BENCHMARK_SPECS = {
+    "cech-k3-n2000": RegimeSpec(model="cech", k=3, n=2000, d=2, alpha=3.0),
+    "rips-k1-n500": RegimeSpec(model="rips", k=1, n=500, d=2, alpha=2.0),
+    "er-k1-n400": RegimeSpec(model="er_clique", k=1, n=400, gamma=0.7),
+    "rips-k2-n150": RegimeSpec(model="rips", k=2, n=150, d=2, alpha=1.0),
+}
+TALLIED_SPECS = {**BENCHMARK_SPECS, "dense-d3": DENSE_RIPS_SPECS["d3"]}  # o_1 > 0 there
+TALLIES = {
+    "cech-k3-n2000": ["_face_tally", "_rank_d1", "_ranks", "_empty_simplex_counts"],
+    "rips-k1-n500": ["_face_tally", "_face_tally", "_rank_d1", "_ranks", "_cross_polytope_counts",
+                     "_faces_on_large_components", "_tree_counts"],
+    "er-k1-n400": ["_face_tally", "_rank_d1", "_ranks"],
+    "rips-k2-n150": ["_face_tally", "_face_tally", "_rank_d1", "_ranks",
+                     "_cross_polytope_counts", "_faces_on_large_components"],
+}
+TALLIES["dense-d3"] = TALLIES["rips-k1-n500"]
+
+
+_TALLYING = [(homology, "_rank_d1")] + [
+    (experiments, name)
+    for name in ("_face_tally", "_ranks", "_empty_simplex_counts", "_cross_polytope_counts",
+                 "_faces_on_large_components", "_tree_counts")
+]
+
+
+def _tallies(spec: RegimeSpec, instances: list) -> list[tuple[str, np.ndarray]]:
+    """Each per-vertex tally that `_batch_counts` takes of the union of `instances`, in
+    call order, as (counter, rows of the tally)."""
+    taken = []
+    with pytest.MonkeyPatch.context() as m:
+        for module, name in _TALLYING:
+            def taking(*args, name=name, counter=getattr(module, name)):
+                tally = counter(*args)
+                taken.append((name, np.vstack(tally if isinstance(tally, tuple) else [tally])))
+                return tally
+
+            m.setattr(module, name, taking)
+        experiments._batch_counts(spec, instances)
+    return taken
+
+
+@pytest.mark.parametrize("name", sorted(TALLIED_SPECS))
+def test_union_tallies_are_the_trials_tallies_side_by_side(name):
+    """The union of a batch is block-diagonal (docs/decisions.md, section 16): each counter's
+    tally of the union is, vertex by vertex, its trials' own tallies one after another."""
+    spec = TALLIED_SPECS[name]
+    instances = [experiments._instance(spec, RngStream(53, t)) for t in range(3)]
+    union = _tallies(spec, instances)
+    alone = [_tallies(spec, [instance]) for instance in instances]
+    assert [counter for counter, _ in union] == TALLIES[name]
+    for i, (counter, tally) in enumerate(union):
+        assert tally.shape[1] == 3 * spec.n, counter
+        # no O_k on these benchmark trials; dense-d3 has thousands
+        assert np.any(tally) or counter == "_cross_polytope_counts" and name in BENCHMARK_SPECS
+        side_by_side = np.hstack([trial[i][1] for trial in alone])
+        fold = [complexes._fold(a, 3, spec.n) for a in (tally, side_by_side)]
+        assert np.array_equal(*fold), counter
+        # how many propagation rounds rank d_1 runs depends on the whole union, so its
+        # tally moves between the vertices of a trial; only the trial's sum is its own
+        rows = slice(2, None) if counter in ("_rank_d1", "_ranks") else slice(None)
+        assert np.array_equal(tally[rows], side_by_side[rows]), counter
 
 
 class _SerialPool:

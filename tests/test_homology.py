@@ -426,7 +426,7 @@ def rank_d1_and_rounds(c: SimplicialComplex) -> tuple[int, int]:
     with pytest.MonkeyPatch.context() as m:
         spy = _CountingNumpy()
         m.setattr(homology, "np", spy)
-        rank = int(homology._rank_d1(c, c.vertex_count, 1)[0])
+        rank = int(homology._rank_d1(c).sum())
     assert rank == rank_d1_by_union_find(c)
     return rank, spy.calls // 2
 
