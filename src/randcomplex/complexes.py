@@ -66,7 +66,7 @@ class Graph:
             if a == b:
                 raise ValueError(f"self-loop at vertex {a}")
             raise ValueError(f"edge ({a},{b}) out of range")
-        key = np.sort(np.concatenate((u * n + v, v * n + u)), kind="stable")
+        key = np.sort(np.concatenate((u * n + v, v * n + u)))
         key = key[np.diff(key, prepend=-1) != 0]
         key.flags.writeable = False
         return cls(n, edge_keys=key)

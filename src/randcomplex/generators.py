@@ -159,31 +159,40 @@ def geometric_graph(pts: PointCloud, r: float) -> Graph:
     The points are sorted by their first coordinate, and each one is tested
     only against the later points of its x-window. The window pairs are
     gathered by `np.repeat` over the window sizes, for a run of rows at a
-    time holding at most `_WINDOW_BLOCK` pairs (or one larger row). The test
-    sums the squared coordinate differences in float64 from 0.0, one
-    coordinate at a time, and keeps the pair when the sum is <= (2r)^2. The
-    window is padded past the largest x-gap that test can accept, so it
-    never drops a kept pair (docs/decisions.md, section 7).
+    time holding at most `_WINDOW_BLOCK` pairs (or one larger row). In d >= 2
+    a pair first needs its squared second-coordinate difference <= (2r)^2;
+    the survivors take the full test, which sums the squared coordinate
+    differences in float64 from 0.0, one coordinate at a time, and keeps the
+    pair when the sum is <= (2r)^2. The window is padded past the largest
+    x-gap that test can accept, and the prefilter rejects only pairs that the
+    test rejects, so neither drops a kept pair (docs/decisions.md, section 7).
     """
     if not r > 0:
         raise ValueError("r must be positive")
     P = pts.points
     n = P.shape[0]
-    order = np.argsort(P[:, 0], kind="stable")
+    order = np.argsort(P[:, 0])  # the graph does not depend on the order of x-ties
     Q = P[order].T.copy()  # one contiguous row per coordinate
     limit_sq = (2.0 * r) * (2.0 * r)
     reach = np.sqrt(np.nextafter(limit_sq, np.inf)) * (1.0 + 1e-9)
     ends = np.searchsorted(Q[0], Q[0] + reach, side="right")
-    # row i pairs with i+1..ends[i]-1; its pairs start at offset[i] of all window pairs
+    # row i pairs with i+1..ends[i]-1 as window pairs t = offset[i]..offset[i+1]-1,
+    # pair t joining i to t + shift[i]
     count = ends - np.arange(n) - 1
     offset = np.concatenate(([0], np.cumsum(count)))
+    shift = np.arange(1, n + 1) - offset[:n]
     us, vs = [order[:0]], [order[:0]]  # never empty, also when no pair is tested
     a = 0
     while a < n:
         b = max(int(np.searchsorted(offset, offset[a] + _WINDOW_BLOCK, side="right")) - 1, a + 1)
         size = count[a:b]
-        i = np.repeat(np.arange(a, b), size)
-        j = i + 1 + np.arange(len(i)) - np.repeat(offset[a:b] - offset[a], size)
+        t = np.arange(offset[a], offset[b])
+        j = t + np.repeat(shift[a:b], size)
+        if len(Q) > 1:  # prefilter on y; in d = 1 it would repeat the full test
+            dy = Q[1][j] - np.repeat(Q[1][a:b], size)
+            near = np.flatnonzero(dy * dy <= limit_sq)
+            t, j = t[near], j[near]
+        i = np.searchsorted(offset, t, side="right") - 1
         dist_sq = np.zeros(len(i))
         for q in Q:
             diff = q[j] - q[i]

@@ -241,8 +241,9 @@ def geometric_graph_by_offsets(pts, r: float) -> Graph:
     """The closed-rule geometric graph by a per-offset sweep: the slow path of
     `generators.geometric_graph`'s blocked gather.
 
-    Same stable x-sort, window ends and float test, but one array step per
-    offset s, over every sorted position i whose window reaches i + s.
+    A stable x-sort, the same window ends and float test, and no prefilter:
+    one array step per offset s, over every sorted position i whose window
+    reaches i + s.
     """
     P = pts.points
     n = P.shape[0]

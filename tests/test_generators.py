@@ -241,17 +241,18 @@ def _window_cases():
     ]
 
 
+def _all_pairs(P: np.ndarray, r: float) -> set[tuple[int, int]]:
+    """The closed-rule pairs i < j, by the float test on every pair of points."""
+    n = len(P)
+    d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
+    return {(i, j) for i in range(n) for j in range(i + 1, n) if d2[i, j] <= (2.0 * r) * (2.0 * r)}
+
+
 def test_geometric_graph_matches_all_pairs_oracle():
     for P, r in _window_cases():
         n, d = P.shape
         g = geometric_graph(PointCloud(d, P), r)
-        d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
-        brute = {
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if d2[i, j] <= (2.0 * r) * (2.0 * r)
-        }
+        brute = _all_pairs(P, r)
         assert g.vertex_count == n
         assert set(edge_list(g)) == brute
     # the closed rule keeps lattice pairs exactly 2r apart: (5,0), (0,5), (3,4), (4,3)
@@ -283,15 +284,60 @@ def test_geometric_graph_matches_per_offset_sweep(monkeypatch, block):
             )
 
 
+def _prefilter_cases():
+    """Clouds at the edge of geometric_graph's second-coordinate prefilter, each
+    with its edge count when that is known by hand (docs/decisions.md, section 7).
+
+    At r = 1/16, 2r = 1/8 and (2r)^2 = 1/64 are exact, and so is every
+    difference and square of the dyadic coordinates below.
+    """
+    gen = RngStream(46).generator()
+    base = np.array([-2.0, 0.0, 1.0, 3.0, 6.0])  # one pair per base, far from the others
+    ulp_up = np.nextafter(base + 0.125, np.inf)  # one ulp further than 2r
+
+    def pairs(x, lower, upper, fixed=()):
+        """Points (x, *fixed, lower[t]) and (x, *fixed, upper[t]): dx = 0."""
+        cols = [np.full(2 * len(lower), c) for c in (x, *fixed)]
+        return np.column_stack(cols + [np.concatenate((lower, upper))])
+
+    same_x = np.column_stack((np.full(300, 0.5), gen.random(300)))
+    ladder = np.column_stack((np.full(64, 0.5), np.arange(64) / 64.0))  # 2r is 8 rungs
+    return [
+        (pairs(0.25, base, base + 0.125), 1.0 / 16, 5),  # dy = 2r: kept
+        (pairs(0.25, base, ulp_up), 1.0 / 16, 0),  # dy one ulp past 2r: dropped
+        (np.vstack((pairs(0.25, base, base + 0.125), pairs(0.75, base, ulp_up))), 1.0 / 16, 5),
+        (same_x, 0.01, None),
+        (ladder, 1.0 / 16, sum(min(8, 63 - k) for k in range(64))),
+        # d = 3: x and y equal, so the prefilter passes the pair and z decides
+        (pairs(0.25, base, base + 0.125, fixed=(0.5,)), 1.0 / 16, 5),
+        (pairs(0.25, base, ulp_up, fixed=(0.5,)), 1.0 / 16, 0),
+        (np.column_stack((np.full((200, 2), 0.5), gen.random(200))), 0.01, None),
+        # d = 1: no second coordinate, so no prefilter
+        (np.concatenate((base, base + 0.125))[:, None], 1.0 / 16, 5),
+        (np.concatenate((base, ulp_up))[:, None], 1.0 / 16, 0),
+        (gen.random((300, 1)), 0.002, None),
+    ]
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, generators._WINDOW_BLOCK])
+def test_geometric_graph_prefilter_keeps_the_closed_rule(monkeypatch, block):
+    """The second-coordinate prefilter keeps pairs exactly 2r apart along y and
+    drops them one ulp further, and leaves every other decision to the full test."""
+    monkeypatch.setattr(generators, "_WINDOW_BLOCK", block)
+    for P, r, edges in _prefilter_cases():
+        pts = PointCloud(P.shape[1], P)
+        g = geometric_graph(pts, r)
+        assert set(edge_list(g)) == _all_pairs(P, r)
+        assert g == geometric_graph_by_offsets(pts, r)
+        if edges is not None:
+            assert g.edge_count == edges
+
+
 def test_geometric_graph_gaussian_cloud_matches_oracle():
     gen = RngStream(43).generator()
     P = gen.standard_normal((200, 3))
     g = geometric_graph(PointCloud(3, P), 0.25)
-    d2 = np.sum((P[:, None, :] - P[None, :, :]) ** 2, axis=-1)
-    brute = {
-        (i, j) for i in range(200) for j in range(i + 1, 200) if d2[i, j] <= 0.25
-    }
-    assert set(edge_list(g)) == brute
+    assert set(edge_list(g)) == _all_pairs(P, 0.25)
 
 
 def test_geometric_graph_permutation_equivariance():
